@@ -66,7 +66,8 @@ void SegmentAccum::trace_block_edge() {
   const std::size_t cap = used == 0 ? 4096 : used * 2;
   auto* grown = static_cast<unsigned char*>(std::aligned_alloc(4096, cap));
   if (grown == nullptr) throw std::bad_alloc();
-  std::memcpy(grown, trace_begin, used);
+  // The first grow has no old buffer, and memcpy forbids null even for 0.
+  if (used != 0) std::memcpy(grown, trace_begin, used);
   std::free(trace_begin);
   trace_begin = grown;
   trace_pos = grown + used;

@@ -96,15 +96,13 @@ void FaultInjector::spawn_drivers() {
   }
 }
 
-void FaultInjector::drain_pulses(minisc::Process& p) {
+void FaultInjector::drain_pulses(const scperf::Resource& r) {
   // Pulses are sorted; everything due at or before `now` targeting the
   // resource this process runs on is charged into the segment the estimator
   // is about to close. Due pulses for OTHER resources stay pending until one
   // of their own processes reaches a node — a pulse hits the first segment
   // boundary on its resource after the fault instant.
   if (next_pulse_ >= scenario_.pulses().size()) return;
-  scperf::Resource* r = est_.mapped_resource(p.name());
-  if (r == nullptr) return;
   scperf::SegmentAccum* acc = scperf::tl_accum;
   if (acc == nullptr) return;
   const minisc::Time now = sim_.now();
@@ -115,7 +113,7 @@ void FaultInjector::drain_pulses(minisc::Process& p) {
   for (std::size_t i = next_pulse_; i < pulses.size(); ++i) {
     const Pulse& pulse = pulses[i];
     if (pulse.at > now) break;
-    if (consumed_[i] || pulse.resource != r->name()) continue;
+    if (consumed_[i] || pulse.resource != r.name()) continue;
     // Charging both the sequential sum and the critical path stretches a HW
     // segment's [Tmin, Tmax] interval by the full pulse, so the estimate
     // T = Tmin + (Tmax - Tmin) * k grows by extra_cycles for every k.
@@ -129,8 +127,7 @@ void FaultInjector::drain_pulses(minisc::Process& p) {
   while (next_pulse_ < pulses.size() && consumed_[next_pulse_]) ++next_pulse_;
 }
 
-void FaultInjector::apply_env_faults(minisc::Process& p,
-                                     scperf::Resource& env) {
+void FaultInjector::apply_env_faults(scperf::Resource& env) {
   // Environment components are untimed, so there is no segment to charge:
   // a due pulse becomes a direct stall of its cycle cost at the ENV clock,
   // and an open outage window parks the process until the window closes —
@@ -169,13 +166,21 @@ void FaultInjector::process_resumed(minisc::Process& p) {
   if (inner_ != nullptr) inner_->process_resumed(p);
 }
 
+scperf::Resource* FaultInjector::resource_of(const minisc::Process& p) {
+  if (p.id() >= resource_of_.size()) resource_of_.resize(p.id() + 1);
+  auto& slot = resource_of_[p.id()];
+  if (!slot.has_value()) slot = est_.mapped_resource(p.name());
+  return *slot;
+}
+
 void FaultInjector::node_reached(minisc::Process& p, minisc::NodeKind kind,
                                  const char* label) {
-  scperf::Resource* r = est_.mapped_resource(p.name());
-  if (r != nullptr && r->kind() == scperf::ResourceKind::kEnv) {
-    apply_env_faults(p, *r);
-  } else {
-    drain_pulses(p);
+  if (scperf::Resource* r = resource_of(p)) {
+    if (r->kind() == scperf::ResourceKind::kEnv) {
+      apply_env_faults(*r);
+    } else {
+      drain_pulses(*r);
+    }
   }
   if (inner_ != nullptr) inner_->node_reached(p, kind, label);
 }

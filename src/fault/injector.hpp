@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,8 +81,10 @@ class FaultInjector final : public minisc::KernelHook {
 
  private:
   void spawn_drivers();
-  void drain_pulses(minisc::Process& p);
-  void apply_env_faults(minisc::Process& p, scperf::Resource& env);
+  void drain_pulses(const scperf::Resource& r);
+  void apply_env_faults(scperf::Resource& env);
+  /// The resource `p` is mapped to, looked up once per process.
+  scperf::Resource* resource_of(const minisc::Process& p);
 
   minisc::Simulator& sim_;
   scperf::Estimator& est_;
@@ -90,6 +93,8 @@ class FaultInjector final : public minisc::KernelHook {
 
   std::size_t next_pulse_ = 0;  ///< scenario pulses are sorted by time
   std::vector<bool> consumed_;  ///< per-pulse delivered flag
+  /// Per Process::id(); empty until that process first reaches a node.
+  std::vector<std::optional<scperf::Resource*>> resource_of_;
   std::uint64_t pulses_injected_ = 0;
   double extra_cycles_injected_ = 0.0;
   std::uint64_t outages_applied_ = 0;

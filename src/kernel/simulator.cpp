@@ -2,11 +2,120 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
+
+// Sanitizer fiber API (compiler-rt), declared here because not every
+// toolchain's headers carry the TSan half. Without these annotations ASan
+// takes an exception unwinding a coroutine stack for a stack-buffer
+// underflow, and TSan mixes the shadow call stacks of all processes.
+#if defined(__SANITIZE_ADDRESS__)
+extern "C" void __sanitizer_start_switch_fiber(void** fake_stack_save,
+                                               const void* bottom,
+                                               std::size_t size);
+extern "C" void __sanitizer_finish_switch_fiber(void* fake_stack_save,
+                                                const void** bottom_old,
+                                                std::size_t* size_old);
+#endif
+#if defined(__SANITIZE_THREAD__)
+extern "C" void* __tsan_get_current_fiber();
+extern "C" void* __tsan_create_fiber(unsigned flags);
+extern "C" void __tsan_destroy_fiber(void* fiber);
+extern "C" void __tsan_switch_to_fiber(void* fiber, unsigned flags);
+#endif
+
+#if defined(__x86_64__)
+// The coroutine switch (x86-64 System V), the role QuickThreads plays under
+// the reference SystemC kernel. It pushes the callee-saved registers and the
+// FP control state (MXCSR, x87 control word) onto the current stack, stores
+// the stack pointer to *from, loads `to` and pops the same frame off the
+// other stack. The signal mask is left alone: minisc never changes it per
+// process, and switching it is the syscall that makes swapcontext slow.
+extern "C" void minisc_switch(void** from, void* to);
+// Return target of a new process's first switch (see Process::Process):
+// calls r13(r12) on the fresh stack. `.cfi_undefined rip` marks the stack
+// base, so unwinders and debuggers stop here.
+extern "C" void minisc_switch_entry();
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl minisc_switch
+  .hidden minisc_switch
+  .type minisc_switch, @function
+minisc_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size minisc_switch, .-minisc_switch
+
+  .p2align 4
+  .globl minisc_switch_entry
+  .hidden minisc_switch_entry
+  .type minisc_switch_entry, @function
+minisc_switch_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  call *%r13
+  ud2
+  .cfi_endproc
+  .size minisc_switch_entry, .-minisc_switch_entry
+  .popsection
+)");
+#endif
 
 namespace minisc {
 
 namespace {
+
+/// Completes a switch on the side just switched into; `peer` switched here.
+/// ASan reports the stack we came from, which is how the kernel side's
+/// bounds become known.
+void arrived([[maybe_unused]] detail::SwitchContext& self,
+             [[maybe_unused]] detail::SwitchContext& peer) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(self.asan_fake_stack, &peer.stack_bottom,
+                                  &peer.stack_size);
+#endif
+}
+
+/// Suspends `from` and resumes `to`; returns once something switches back.
+/// A `final` switch abandons `from` for good.
+void switch_context(detail::SwitchContext& from, detail::SwitchContext& to,
+                    [[maybe_unused]] bool final) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(final ? nullptr : &from.asan_fake_stack,
+                                 to.stack_bottom, to.stack_size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+#if defined(__x86_64__)
+  minisc_switch(&from.sp, to.sp);
+#else
+  swapcontext(&from.uc, &to.uc);
+#endif
+  arrived(from, to);
+}
 
 thread_local Simulator* g_current = nullptr;
 
@@ -121,21 +230,61 @@ Process::Process(Simulator& sim, std::string name, std::function<void()> body,
       name_(std::move(name)),
       body_(std::move(body)),
       id_(id),
-      stack_(stack_bytes) {
-  getcontext(&ctx_);
-  ctx_.uc_stack.ss_sp = stack_.data();
-  ctx_.uc_stack.ss_size = stack_.size();
-  ctx_.uc_link = nullptr;  // the trampoline swaps back explicitly
-  const auto ptr = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Process::trampoline), 2,
+      stack_(std::make_unique_for_overwrite<std::byte[]>(stack_bytes)) {
+  ctx_.stack_bottom = stack_.get();
+  ctx_.stack_size = stack_bytes;
+#if defined(__SANITIZE_THREAD__)
+  ctx_.tsan_fiber = __tsan_create_fiber(0);
+#endif
+#if defined(__x86_64__)
+  // The frame minisc_switch pops on the first enter(): FP control state
+  // (inherited from the spawner, as getcontext would), the callee-saved
+  // registers (rbp zero, ending frame-pointer walks) and the entry stub as
+  // return address. The stub then calls entry(this) on a 16-byte aligned
+  // stack.
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpu_cw = 0;
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fpu_cw));
+  const std::uint64_t frame[8] = {
+      mxcsr | std::uint64_t{fpu_cw} << 32,
+      0,                                                  // r15
+      0,                                                  // r14
+      reinterpret_cast<std::uintptr_t>(&Process::entry),  // r13
+      reinterpret_cast<std::uintptr_t>(this),             // r12
+      0,                                                  // rbx
+      0,                                                  // rbp
+      reinterpret_cast<std::uintptr_t>(&minisc_switch_entry)};
+  const std::uintptr_t top =
+      (reinterpret_cast<std::uintptr_t>(stack_.get()) + stack_bytes) &
+      ~std::uintptr_t{15};
+  ctx_.sp = reinterpret_cast<void*>(top - sizeof frame);
+  std::memcpy(ctx_.sp, frame, sizeof frame);
+#else
+  getcontext(&ctx_.uc);
+  ctx_.uc.uc_stack.ss_sp = stack_.get();
+  ctx_.uc.uc_stack.ss_size = stack_bytes;
+  ctx_.uc.uc_link = nullptr;  // the process never returns off its stack
+  // makecontext passes int arguments only: split the pointer in two.
+  void (*trampoline)(unsigned, unsigned) = [](unsigned hi, unsigned lo) {
+    entry(reinterpret_cast<Process*>(
+        static_cast<std::uintptr_t>(std::uint64_t{hi} << 32 | lo)));
+  };
+  const std::uint64_t ptr = reinterpret_cast<std::uintptr_t>(this);
+  makecontext(&ctx_.uc, reinterpret_cast<void (*)()>(trampoline), 2,
               static_cast<unsigned>(ptr >> 32),
               static_cast<unsigned>(ptr & 0xffffffffu));
+#endif
 }
 
-void Process::trampoline(unsigned hi, unsigned lo) {
-  const auto ptr = (static_cast<std::uintptr_t>(hi) << 32) |
-                   static_cast<std::uintptr_t>(lo);
-  reinterpret_cast<Process*>(ptr)->run_body();
+Process::~Process() {
+#if defined(__SANITIZE_THREAD__)
+  __tsan_destroy_fiber(ctx_.tsan_fiber);
+#endif
+}
+
+void Process::entry(Process* self) {
+  arrived(self->ctx_, self->sim_.main_ctx_);
+  self->run_body();
 }
 
 void Process::run_body() {
@@ -175,7 +324,7 @@ void Process::run_body() {
   }
   state_ = State::kTerminated;
   // Never returns: a terminated process is never dispatched again.
-  while (true) swapcontext(&ctx_, &sim_.main_ctx_);
+  for (;;) sim_.leave(*this, true);
 }
 
 // ------------------------------------------------------------ Simulator ----
@@ -232,7 +381,7 @@ void Simulator::dispatch(Process& p) {
     exec_trace_.push_back({now_, delta_count_, p.name()});
   }
   if (hook_ != nullptr) hook_->process_resumed(p);
-  swapcontext(&main_ctx_, &p.ctx_);
+  enter(p);
   running_ = nullptr;
   if (p.error_) {
     auto err = p.error_;
@@ -241,9 +390,20 @@ void Simulator::dispatch(Process& p) {
   }
 }
 
+void Simulator::enter(Process& p) {
+#if defined(__SANITIZE_THREAD__)
+  main_ctx_.tsan_fiber = __tsan_get_current_fiber();
+#endif
+  switch_context(main_ctx_, p.ctx_, false);
+}
+
+void Simulator::leave(Process& p, bool final) {
+  switch_context(p.ctx_, main_ctx_, final);
+}
+
 void Simulator::yield_to_kernel() {
   Process& p = *running_;
-  swapcontext(&p.ctx_, &main_ctx_);
+  leave(p, false);
   // Resumed. During teardown the kernel resumes us one last time to unwind.
   if (p.kill_requested_) throw KillUnwind{};
   if (p.crash_requested_) {
@@ -474,7 +634,7 @@ bool Simulator::wait_for_restart(Process& p, Time delay) {
   schedule_timer(e);
   p.state_ = Process::State::kWaiting;
   p.wake_at_ = e.t;
-  swapcontext(&p.ctx_, &main_ctx_);
+  leave(p, false);
   // Resumed by the restart timer — or by teardown, which must not restart.
   return !p.kill_requested_;
 }
@@ -551,7 +711,7 @@ void Simulator::kill_all_processes() {
       p->kill_requested_ = true;
       p->state_ = Process::State::kRunning;
       running_ = p.get();
-      swapcontext(&main_ctx_, &p->ctx_);
+      enter(*p);
       running_ = nullptr;
     }
     // Never-started processes have no frames to unwind.

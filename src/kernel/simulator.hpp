@@ -1,6 +1,8 @@
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <chrono>
 #include <cstdint>
@@ -66,6 +68,26 @@ class Event {
   std::uint64_t generation_ = 0;  ///< invalidates queued timed notifications
 };
 
+namespace detail {
+
+/// One side of a coroutine switch: a process's suspended state, or the
+/// kernel's while a process runs. The switch itself lives in simulator.cpp.
+struct SwitchContext {
+#if defined(__x86_64__)
+  void* sp = nullptr;  ///< stack pointer saved by the switch routine
+#else
+  ucontext_t uc{};
+#endif
+  // Bounds of this side's stack and sanitizer fiber handles; read only in
+  // ASan/TSan builds (the kernel's stack bounds are learned on first switch).
+  const void* stack_bottom = nullptr;
+  std::size_t stack_size = 0;
+  void* asan_fake_stack = nullptr;
+  void* tsan_fiber = nullptr;
+};
+
+}  // namespace detail
+
 /// Base for primitive channels that defer state publication to the update
 /// phase (the role of sc_prim_channel::request_update / update).
 class Updatable {
@@ -86,6 +108,8 @@ class Updatable {
 /// (the role of an SC_THREAD). Created via Simulator::spawn().
 class Process {
  public:
+  ~Process();
+
   const std::string& name() const { return name_; }
   std::size_t id() const { return id_; }
   bool terminated() const { return state_ == State::kTerminated; }
@@ -106,15 +130,17 @@ class Process {
   Process(Simulator& sim, std::string name, std::function<void()> body,
           std::size_t id, std::size_t stack_bytes);
 
-  static void trampoline(unsigned hi, unsigned lo);
+  /// First code to run on the process's own stack.
+  static void entry(Process* self);
   void run_body();
 
   Simulator& sim_;
   std::string name_;
   std::function<void()> body_;
   std::size_t id_;
-  std::vector<std::byte> stack_;
-  ucontext_t ctx_{};
+  /// Coroutine stack, left uninitialised so untouched pages stay unmapped.
+  std::unique_ptr<std::byte[]> stack_;
+  detail::SwitchContext ctx_;
   State state_ = State::kCreated;
   std::uint64_t wait_id_ = 0;  ///< bumped on every wake; stale wakeups ignored
   bool started_ = false;       ///< body entered at least once
@@ -315,6 +341,11 @@ class Simulator {
 
   void make_runnable(Process& p);
   void dispatch(Process& p);
+  /// Kernel side: switches into `p` until it leaves again.
+  void enter(Process& p);
+  /// Process side: switches back to the kernel. A `final` leave never
+  /// returns (the process has terminated and its stack is dead).
+  void leave(Process& p, bool final);
   /// Suspends the running process and returns control to the scheduler.
   void yield_to_kernel();
   void schedule_timer(TimerEntry e);
@@ -328,7 +359,7 @@ class Simulator {
   void check_wall_clock();
   [[noreturn]] void throw_watchdog(SimError::Kind kind, std::string summary);
 
-  ucontext_t main_ctx_{};
+  detail::SwitchContext main_ctx_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::deque<Process*> runnable_;
   std::vector<Event*> delta_events_;

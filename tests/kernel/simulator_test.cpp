@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -474,6 +475,59 @@ TEST(Simulator, RawWaitBypassesHooks) {
   sim.run();
   const std::vector<std::string> want{"start:p", "finish:p"};
   EXPECT_EQ(hook.log, want);
+}
+
+// Whether an addition rounds upward right now, in double arithmetic (SSE on
+// x86-64: MXCSR) and long double arithmetic (x87: its control word). Below
+// half an ulp of 1.0 in every format, so round-to-nearest gives exactly 1.
+bool double_rounds_up() {
+  volatile double one = 1.0, tiny = 0x1p-120;
+  return one + tiny != one;
+}
+bool long_double_rounds_up() {
+  volatile long double one = 1.0L, tiny = 0x1p-120L;
+  return one + tiny != one;
+}
+
+TEST(Simulator, FloatingPointControlStateIsPerProcess) {
+  // The rounding mode belongs to the process that set it: other processes
+  // and the kernel keep their own, and the setter finds its mode again when
+  // it resumes.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  Simulator sim;
+  int other_mode = -1, resumed_mode = -1;
+  bool other_double_up = true, other_long_up = true;
+  bool resumed_double_up = false, resumed_long_up = false;
+  sim.spawn("upward", [&] {
+    std::fesetround(FE_UPWARD);
+    wait(Time::ns(10));
+    resumed_mode = std::fegetround();
+    resumed_double_up = double_rounds_up();
+    resumed_long_up = long_double_rounds_up();
+  });
+  sim.spawn("other", [&] {
+    wait(Time::ns(5));
+    other_mode = std::fegetround();
+    other_double_up = double_rounds_up();
+    other_long_up = long_double_rounds_up();
+  });
+  EXPECT_EQ(sim.run(Time::ns(7)), StopReason::kTimeLimit);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_FALSE(double_rounds_up());
+  EXPECT_FALSE(long_double_rounds_up());
+  EXPECT_EQ(sim.run(), StopReason::kFinished);
+
+  EXPECT_EQ(other_mode, FE_TONEAREST);
+  EXPECT_FALSE(other_double_up);
+  EXPECT_FALSE(other_long_up);
+  EXPECT_EQ(resumed_mode, FE_UPWARD);
+  EXPECT_TRUE(resumed_double_up);
+  EXPECT_TRUE(resumed_long_up);
+  // The process finished in FE_UPWARD; its last switch back restored ours.
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_FALSE(double_rounds_up());
+  EXPECT_FALSE(long_double_rounds_up());
+  std::fesetround(FE_TONEAREST);  // never leak a mode into later tests
 }
 
 }  // namespace
