@@ -54,7 +54,7 @@
 //               Exits 0 when the fleet is done, 1 while it is not.
 //   --max-adoptions K  quarantine a shard after K adoptions (default 3;
 //               0 = adopt forever): a poison shard that crashes every
-//               worker that touches it is tombstoned out of the claim
+//               worker that touches it is quarantined out of the claim
 //               pass instead of crash-looping the fleet.
 //   --scaling   times the resilient campaign sequentially and on {1,2,8}-
 //               worker pools and prints one JSON record (wall-clock per
@@ -452,10 +452,10 @@ int run_repartition(std::size_t new_count) {
     std::printf(
         "  [%s] repartitioned %zu -> %zu shards: %zu records migrated into "
         "%zu journals, %zu old files removed (%zu stale leases, %zu "
-        "tombstones dropped)\n",
+        "quarantines dropped)\n",
         label, r.old_count, r.new_count, r.migrated_records,
         r.journals_written, r.old_files_removed, r.stale_leases_removed,
-        r.dropped_tombstones);
+        r.dropped_quarantines);
   }
   return 0;
 }

@@ -34,23 +34,6 @@ using minisc::SimError;
                  "'" + path + "': " + op + " failed: " + std::strerror(errno));
 }
 
-std::uint64_t wall_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Lease mtime in the same epoch as wall_now_ms. Returns false if the file
-/// vanished (claimed-then-released, or stolen) between the caller's checks.
-bool lease_mtime_ms(const std::string& path, std::uint64_t* out) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) return false;
-  *out = static_cast<std::uint64_t>(st.st_mtim.tv_sec) * 1000ull +
-         static_cast<std::uint64_t>(st.st_mtim.tv_nsec) / 1000000ull;
-  return true;
-}
-
 bool file_exists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
@@ -67,7 +50,7 @@ bool lease_alive(std::uint64_t mtime_ms, std::uint64_t now_ms,
   return now_ms < mtime_ms + ttl_ms && mtime_ms < now_ms + ttl_ms;
 }
 
-/// Whole-file read; "" on any error (treated as not-ours / unreadable).
+/// Whole-file read; "" on any error.
 std::string read_whole_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return {};
@@ -75,38 +58,104 @@ std::string read_whole_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// Structured lease content. The raw fallback (no "owner " prefix) keeps
-/// pre-counter leases and hand-written test fixtures parseable: the whole
-/// content is the owner, zero adoptions, no recorded error.
-LeaseInfo parse_lease(const std::string& content) {
-  LeaseInfo info;
-  if (content.compare(0, 6, "owner ") != 0) {
-    info.owner = content;
-    return info;
-  }
-  std::size_t pos = 0;
-  while (pos < content.size()) {
-    std::size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) eol = content.size();
-    const std::string line = content.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.compare(0, 6, "owner ") == 0) {
-      info.owner = line.substr(6);
-    } else if (line.compare(0, 10, "adoptions ") == 0) {
-      info.adoptions = std::strtoull(line.c_str() + 10, nullptr, 10);
-    } else if (line.compare(0, 6, "epoch ") == 0) {
-      info.epoch = std::strtoull(line.c_str() + 6, nullptr, 10);
-    } else if (line.compare(0, 9, "split_at ") == 0) {
-      info.split_at = std::strtoull(line.c_str() + 9, nullptr, 10);
-      info.has_split_at = true;
-    } else if (line.compare(0, 6, "error ") == 0) {
-      info.error = line.substr(6);
+/// Writes `content` to a new private file and fsyncs it: the first half of
+/// every publish-by-link or publish-by-rename in this file.
+void write_synced(const std::string& path, const std::string& content) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) throw_io(path, "open");
+  std::size_t off = 0;
+  while (off < content.size()) {
+    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
+    if (n < 0) {
+      ::close(fd);
+      ::unlink(path.c_str());
+      throw_io(path, "write");
     }
-    // Unknown keys (e.g. "quarantined-by") are ignored: tombstones carry
-    // extra provenance that older readers can skip.
+    off += static_cast<std::size_t>(n);
   }
-  return info;
+  if (::fsync(fd) != 0) {
+    ::close(fd);
+    ::unlink(path.c_str());
+    throw_io(path, "fsync");
+  }
+  ::close(fd);
 }
+
+/// A tmp name no other thread or process of this host uses.
+std::string private_tmp(const std::string& path) {
+  static std::atomic<std::uint64_t> counter{0};
+  return path + ".tmp-" + std::to_string(static_cast<long>(::getpid())) +
+         "-" + std::to_string(counter.fetch_add(1));
+}
+
+/// Exclusive creation that is never observed torn: the content is written
+/// to a private tmp file (fsynced) and link()ed into place — link fails
+/// with EEXIST if the name exists, and the name appears with its full
+/// content. Shared by lease generations and the fleet/sweep manifests.
+bool create_file_exclusive(const std::string& path,
+                           const std::string& content) {
+  const std::string tmp = private_tmp(path);
+  write_synced(tmp, content);
+  const int rc = ::link(tmp.c_str(), path.c_str());
+  const int saved_errno = errno;
+  ::unlink(tmp.c_str());
+  if (rc == 0) return true;
+  if (saved_errno == EEXIST) return false;
+  errno = saved_errno;
+  throw_io(path, "link");
+}
+
+class PosixLeaseFs final : public LeaseFs {
+ public:
+  bool create_exclusive(const std::string& path,
+                        const std::string& content) override {
+    return create_file_exclusive(path, content);
+  }
+  bool read(const std::string& path, std::string* out) override {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return false;
+    out->assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+    return true;
+  }
+  bool mtime_ms(const std::string& path, std::uint64_t* out) override {
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0) return false;
+    *out = static_cast<std::uint64_t>(st.st_mtim.tv_sec) * 1000ull +
+           static_cast<std::uint64_t>(st.st_mtim.tv_nsec) / 1000000ull;
+    return true;
+  }
+  int touch(const std::string& path) override {
+    return ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0) == 0 ? 0 : errno;
+  }
+  std::vector<std::uint64_t> list_generations(
+      const std::string& stem) override {
+    const std::filesystem::path p(stem);
+    const std::string prefix = p.filename().string() + ".g";
+    std::vector<std::uint64_t> gens;
+    std::error_code ec;
+    const std::filesystem::path dir =
+        p.has_parent_path() ? p.parent_path() : std::filesystem::path(".");
+    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+      const std::string name = entry.path().filename().string();
+      if (name.size() <= prefix.size() || name.compare(0, prefix.size(),
+                                                       prefix) != 0 ||
+          name.find_first_not_of("0123456789", prefix.size()) !=
+              std::string::npos) {
+        continue;  // another unit, or a creator's tmp file
+      }
+      gens.push_back(std::strtoull(name.c_str() + prefix.size(), nullptr, 10));
+    }
+    return gens;
+  }
+  void unlink(const std::string& path) override { ::unlink(path.c_str()); }
+  std::uint64_t now_ms() override {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::system_clock::now().time_since_epoch())
+            .count());
+  }
+};
 
 /// Error texts live on one line of the lease file; collapse any newlines.
 std::string one_line(std::string s) {
@@ -116,96 +165,35 @@ std::string one_line(std::string s) {
   return s;
 }
 
-std::string format_lease_info(const LeaseInfo& info) {
-  std::string s = "owner " + info.owner + "\nadoptions " +
-                  std::to_string(info.adoptions) + "\n";
-  // v3 keys only when meaningful, so pre-steal fleets keep writing (and
-  // their tests keep reading) the historical two/three-line content.
-  if (info.epoch != 0) s += "epoch " + std::to_string(info.epoch) + "\n";
-  if (info.has_split_at) {
-    s += "split_at " + std::to_string(info.split_at) + "\n";
+const char* state_name(LeaseInfo::State s) {
+  switch (s) {
+    case LeaseInfo::State::kHeld: return "held";
+    case LeaseInfo::State::kReleased: return "released";
+    case LeaseInfo::State::kQuarantined: return "quarantined";
   }
-  if (!info.error.empty()) s += "error " + one_line(info.error) + "\n";
-  return s;
+  return "?";
 }
 
-std::string format_lease(const std::string& owner, std::uint64_t adoptions,
-                         const std::string& error) {
-  LeaseInfo info;
-  info.owner = owner;
-  info.adoptions = adoptions;
-  info.error = error;
-  return format_lease_info(info);
-}
-
-/// O_EXCL lease creation — the atomic "exactly one winner" claim. Returns
-/// false when the path already exists (lost the race); throws on real I/O
-/// failure. Content is fsynced so an adopter's ownership probe never reads
-/// a torn lease.
-bool create_lease_file(const std::string& path, const std::string& content) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-  if (fd < 0) {
-    if (errno == EEXIST) return false;
-    throw_io(path, "open(O_EXCL)");
+/// The lease CAS: bump `stem` from generation `cur` (0 = none yet) to
+/// cur + 1 holding `next`. Generation cur - 1 is unlinked first, never the
+/// current one. Because every creator of N+2 removed N before creating,
+/// generation N+1 can only vanish after N has — which is what makes the
+/// two-file ownership probe (still_mine_locked) sound. A create that finds
+/// a higher generation already present lost anyway: either a reader of its
+/// generation moved on, or the caller was frozen past two newer generations
+/// and re-used a collected name. It takes its generation back.
+bool create_next_generation(LeaseFs& fs, const std::string& stem,
+                            std::uint64_t cur, const LeaseInfo& next) {
+  if (cur >= 2) fs.unlink(lease_generation_path(stem, cur - 1));
+  const std::string path = lease_generation_path(stem, cur + 1);
+  if (!fs.create_exclusive(path, format_lease(next))) return false;
+  const std::vector<std::uint64_t> gens = fs.list_generations(stem);
+  if (std::all_of(gens.begin(), gens.end(),
+                  [cur](std::uint64_t g) { return g <= cur + 1; })) {
+    return true;
   }
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      throw_io(path, "write");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_io(path, "fsync");
-  }
-  ::close(fd);
-  return true;
-}
-
-/// Write-then-rename: readers see the old content or the new, never a torn
-/// mix. Used for lease error records and quarantine tombstones.
-void write_file_atomic(const std::string& path, const std::string& content,
-                       const std::string& tmp_tag) {
-  const std::string tmp = path + ".tmp-" + tmp_tag;
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_io(tmp, "open");
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw_io(tmp, "write");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw_io(tmp, "fsync");
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    throw_io(path, "rename");
-  }
-}
-
-/// The quarantine tombstone of a lease: "<unit>.lease" -> "<unit>.quarantined"
-/// (matching shard_quarantine_path / cell_quarantine_path for the canonical
-/// filenames; an unconventional lease path just gains the suffix).
-std::string quarantine_path_for_lease(const std::string& lease_path) {
-  const std::string suffix = ".lease";
-  if (lease_path.size() > suffix.size() &&
-      lease_path.compare(lease_path.size() - suffix.size(), suffix.size(),
-                         suffix) == 0) {
-    return lease_path.substr(0, lease_path.size() - suffix.size()) +
-           ".quarantined";
-  }
-  return lease_path + ".quarantined";
+  fs.unlink(path);
+  return false;
 }
 
 std::string quarantine_summary(const LeaseInfo& info) {
@@ -219,16 +207,21 @@ std::string quarantine_summary(const LeaseInfo& info) {
   return s;
 }
 
-[[noreturn]] void throw_conflict(const std::string& path,
-                                 const std::string& why) {
-  throw SimError(SimError::Kind::kLeaseConflict,
-                 "shard lease '" + path + "': " + why);
+bool lease_quarantined(const std::string& stem, LeaseInfo* info) {
+  return read_lease_info(stem, info) &&
+         info->state == LeaseInfo::State::kQuarantined;
 }
 
-[[noreturn]] void throw_quarantined(const std::string& lease_path,
+[[noreturn]] void throw_conflict(const std::string& stem,
+                                 const std::string& why) {
+  throw SimError(SimError::Kind::kLeaseConflict,
+                 "shard lease '" + stem + "': " + why);
+}
+
+[[noreturn]] void throw_quarantined(const std::string& stem,
                                     const std::string& detail) {
   throw SimError(SimError::Kind::kShardQuarantined,
-                 "shard lease '" + lease_path + "': " + detail);
+                 "shard lease '" + stem + "': " + detail);
 }
 
 [[noreturn]] void throw_merge_bad(const std::string& what) {
@@ -269,12 +262,6 @@ std::string shard_lease_path(const std::string& dir, std::size_t shard,
          std::to_string(shard_count) + ".lease";
 }
 
-std::string shard_quarantine_path(const std::string& dir, std::size_t shard,
-                                  std::size_t shard_count) {
-  return dir + "/shard_" + std::to_string(shard) + "_of_" +
-         std::to_string(shard_count) + ".quarantined";
-}
-
 std::string cell_journal_path(const std::string& dir, std::size_t cell,
                               std::size_t cell_count) {
   return dir + "/cell_" + std::to_string(cell) + "_of_" +
@@ -287,10 +274,9 @@ std::string cell_lease_path(const std::string& dir, std::size_t cell,
          std::to_string(cell_count) + ".lease";
 }
 
-std::string cell_quarantine_path(const std::string& dir, std::size_t cell,
-                                 std::size_t cell_count) {
-  return dir + "/cell_" + std::to_string(cell) + "_of_" +
-         std::to_string(cell_count) + ".quarantined";
+std::string lease_generation_path(const std::string& stem,
+                                  std::uint64_t gen) {
+  return stem + ".g" + std::to_string(gen);
 }
 
 namespace {
@@ -310,7 +296,7 @@ struct StealChild {
 };
 
 /// Discovers the steal children of one shard from filenames alone: any
-/// ".steal<epoch>_at<begin>" journal, lease or tombstone marks a committed
+/// ".steal<epoch>_at<begin>" journal or lease generation marks a committed
 /// split. Returned sorted by begin — the sorted begins tile the shard, each
 /// sub-unit ending where the next begins (see the steal contract in the
 /// header): the steal that created a child truncated exactly the unit it
@@ -332,9 +318,7 @@ std::vector<StealChild> scan_steal_children(const std::string& dir,
       continue;
     }
     const std::string rest = name.substr(static_cast<std::size_t>(consumed));
-    if (rest != ".journal" && rest != ".lease" && rest != ".quarantined") {
-      continue;
-    }
+    if (rest != ".journal" && rest.compare(0, 8, ".lease.g") != 0) continue;
     if (s != shard || count != shard_count) continue;
     auto [it, inserted] =
         by_begin.emplace(begin, static_cast<std::uint64_t>(epoch));
@@ -344,6 +328,23 @@ std::vector<StealChild> scan_steal_children(const std::string& dir,
   out.reserve(by_begin.size());
   for (const auto& [begin, epoch] : by_begin) out.push_back({begin, epoch});
   return out;
+}
+
+/// Recognises a primary unit's files, "shard_<i>_of_<N>.journal" and its
+/// lease generations "shard_<i>_of_<N>.lease.g<k>"; false for anything else
+/// (steal children, tmp files, other units' files).
+bool parse_shard_file(const std::string& name, std::size_t* shard,
+                      std::size_t* count, bool* is_lease) {
+  int consumed = 0;
+  if (std::sscanf(name.c_str(), "shard_%zu_of_%zu.%n", shard, count,
+                  &consumed) != 2 ||
+      consumed == 0) {
+    return false;
+  }
+  const std::string rest = name.substr(static_cast<std::size_t>(consumed));
+  *is_lease = rest.size() > 7 && rest.compare(0, 7, "lease.g") == 0 &&
+              rest.find_first_not_of("0123456789", 7) == std::string::npos;
+  return *is_lease || rest == "journal";
 }
 
 }  // namespace
@@ -360,68 +361,107 @@ std::string shard_steal_lease_path(const std::string& dir, std::size_t shard,
   return steal_stem(dir, shard, shard_count, epoch, begin) + ".lease";
 }
 
-bool read_lease_info(const std::string& path, LeaseInfo* out) {
-  if (!file_exists(path)) return false;
-  const std::string content = read_whole_file(path);
-  if (content.empty() && !file_exists(path)) return false;
-  *out = parse_lease(content);
-  return true;
+// ---- lease generations -----------------------------------------------------
+
+LeaseFs& posix_lease_fs() {
+  static PosixLeaseFs fs;
+  return fs;
+}
+
+std::string format_lease(const LeaseInfo& info) {
+  return std::string("state ") + state_name(info.state) + "\nowner " +
+         info.owner + "\nadoptions " + std::to_string(info.adoptions) +
+         "\nepoch " + std::to_string(info.epoch) + "\nsplit_at " +
+         std::to_string(info.split_at) + "\nerror " + one_line(info.error) +
+         "\n";
+}
+
+LeaseInfo parse_lease(const std::string& content) {
+  LeaseInfo info;
+  std::size_t pos = 0;
+  while (pos < content.size()) {
+    std::size_t eol = content.find('\n', pos);
+    if (eol == std::string::npos) eol = content.size();
+    const std::string line = content.substr(pos, eol - pos);
+    pos = eol + 1;
+    const std::size_t sp = line.find(' ');
+    const std::string key = line.substr(0, sp);
+    const std::string value = sp == std::string::npos ? "" : line.substr(sp + 1);
+    const std::uint64_t num = std::strtoull(value.c_str(), nullptr, 10);
+    if (key == "state") {
+      for (const auto s : {LeaseInfo::State::kHeld, LeaseInfo::State::kReleased,
+                           LeaseInfo::State::kQuarantined}) {
+        if (value == state_name(s)) info.state = s;
+      }
+    } else if (key == "owner") {
+      info.owner = value;
+    } else if (key == "adoptions") {
+      info.adoptions = num;
+    } else if (key == "epoch") {
+      info.epoch = num;
+    } else if (key == "split_at") {
+      info.split_at = num;
+    } else if (key == "error") {
+      info.error = value;
+    }
+  }
+  return info;
+}
+
+bool read_lease_info(const std::string& stem, LeaseInfo* out, LeaseFs& fs) {
+  std::uint64_t failed = 0;
+  for (;;) {
+    const std::vector<std::uint64_t> gens = fs.list_generations(stem);
+    if (gens.empty()) return false;
+    const std::uint64_t gen = *std::max_element(gens.begin(), gens.end());
+    const std::string path = lease_generation_path(stem, gen);
+    std::string content;
+    std::uint64_t mtime = 0;
+    if (!fs.read(path, &content) || !fs.mtime_ms(path, &mtime)) {
+      // Unlinked under us (two newer generations exist by now): look again.
+      // The same generation failing twice is unreadable, not racing.
+      if (gen == failed) return false;
+      failed = gen;
+      continue;
+    }
+    *out = parse_lease(content);
+    out->generation = gen;
+    out->mtime_ms = mtime;
+    return true;
+  }
 }
 
 // ---- ShardLease ----------------------------------------------------------
 
-ShardLease::ShardLease(std::string path, std::string worker_id,
-                       std::uint64_t ttl_ms, std::uint64_t heartbeat_ms,
-                       std::uint64_t adoptions, std::string carried_error,
-                       std::uint64_t epoch)
-    : path_(std::move(path)),
-      worker_id_(std::move(worker_id)),
-      adoptions_(adoptions),
-      error_(std::move(carried_error)),
-      epoch_(epoch) {
-  std::uint64_t hb = heartbeat_ms != 0 ? heartbeat_ms : ttl_ms / 4;
-  if (hb == 0) hb = 1;
-  beat_ = std::thread([this, hb] { beat_loop(hb); });
-}
+ShardLease::ShardLease(LeaseFs& fs, std::string stem, LeaseInfo info,
+                       bool adopted)
+    : fs_(fs),
+      stem_(std::move(stem)),
+      worker_id_(info.owner),
+      adopted_(adopted),
+      adoptions_(info.adoptions),
+      epoch_(info.epoch),
+      gen_(info.generation),
+      info_(std::move(info)) {}
 
 ShardLease::~ShardLease() { release(); }
 
-void ShardLease::beat_loop(std::uint64_t heartbeat_ms) {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!stop_) {
-    if (cv_.wait_for(lk, std::chrono::milliseconds(heartbeat_ms),
-                     [this] { return stop_; })) {
-      break;
-    }
-    lk.unlock();
-    // Ownership probe before the refresh: if the file no longer names this
-    // worker at this steal epoch (adopted away, stolen, or released by an
-    // adopter that finished), stop beating — refreshing someone else's
-    // lease would keep a shard we no longer own looking alive. content_mu_
-    // keeps the probe out of our own reserve_through rename window.
-    bool mine;
-    {
-      std::lock_guard<std::mutex> clk(content_mu_);
-      mine = still_mine_locked();
-    }
-    if (!mine) {
-      lost_.store(true, std::memory_order_release);
+void ShardLease::start_beat(std::uint64_t heartbeat_ms) {
+  beat_ = std::thread([this, heartbeat_ms] {
+    std::unique_lock<std::mutex> lk(beat_mu_);
+    while (!cv_.wait_for(lk, std::chrono::milliseconds(heartbeat_ms),
+                         [this] { return stop_; })) {
+      lk.unlock();
+      const bool mine = heartbeat();
       lk.lock();
-      break;
+      if (!mine) break;
     }
-    if (::utimensat(AT_FDCWD, path_.c_str(), nullptr, 0) != 0) {
-      // A heartbeat that cannot touch its own lease is an infrastructure
-      // failure (EIO, ENOSPC on some filesystems, a yanked mount). Record
-      // the errno text — the fleet loop surfaces it as SimError(kIoError)
-      // between runs — and keep trying: the flag is sticky either way.
-      const std::string err = "lease heartbeat on '" + path_ +
-                              "': utimensat failed: " + std::strerror(errno);
-      lk.lock();
-      if (io_error_.empty()) io_error_ = err;
-      continue;
-    }
-    lk.lock();
-  }
+  });
+}
+
+std::uint64_t ShardLease::generation() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return gen_;
 }
 
 std::string ShardLease::io_error() const {
@@ -429,266 +469,306 @@ std::string ShardLease::io_error() const {
   return io_error_;
 }
 
-void ShardLease::record_error(const std::string& error) {
-  // Ownership guard: if the lease was already adopted away or stolen (we
-  // were paused past the TTL, or a steal bumped the epoch), the file belongs
-  // to someone else — overwriting it would knock a live worker off the
-  // shard. The remaining TOCTOU window is harmless: the displaced adopter
-  // sees a foreign owner on its next heartbeat, aborts via LeaseLostError,
-  // and re-claims; journal appends are bit-identical either way (runs are
-  // pure functions of their seed).
-  std::lock_guard<std::mutex> clk(content_mu_);
-  LeaseInfo cur = parse_lease(read_whole_file(path_));
-  if (lost() || cur.owner != worker_id_ || cur.epoch != epoch_) {
-    lost_.store(true, std::memory_order_release);
-    return;
-  }
-  error_ = one_line(error);
-  cur.error = error_;  // keep epoch and watermark exactly as the file has them
-  write_file_atomic(path_, format_lease_info(cur), worker_id_);
+bool ShardLease::still_mine_locked() const {
+  // Order matters: "no g<N+1>" first, then "g<N> still there". A creator
+  // of N+3 unlinks N+1 only after a creator of N+2 unlinked N, so a
+  // vanished successor is always accompanied by a vanished g<N>.
+  std::uint64_t mtime = 0;
+  return !lost() &&
+         !fs_.mtime_ms(lease_generation_path(stem_, gen_ + 1), &mtime) &&
+         fs_.mtime_ms(lease_generation_path(stem_, gen_), &mtime);
 }
 
-bool ShardLease::still_mine_locked() const {
-  const LeaseInfo info = parse_lease(read_whole_file(path_));
-  return info.owner == worker_id_ && info.epoch == epoch_;
+bool ShardLease::bump_locked(const LeaseInfo& next) {
+  if (lost() || !create_next_generation(fs_, stem_, gen_, next)) {
+    lost_.store(true, std::memory_order_release);
+    return false;
+  }
+  ++gen_;
+  info_ = next;
+  return true;
+}
+
+bool ShardLease::heartbeat() {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (still_mine_locked()) {
+    const int err = fs_.touch(lease_generation_path(stem_, gen_));
+    if (err == 0) return true;
+    if (err != ENOENT) {
+      // A heartbeat that cannot touch its own lease is an infrastructure
+      // failure (EIO, ENOSPC on some filesystems, a yanked mount). Record
+      // the errno text — the fleet loop surfaces it as SimError(kIoError)
+      // between runs — and keep trying: the flag is sticky either way.
+      if (io_error_.empty()) {
+        io_error_ = "lease heartbeat on '" + stem_ + "': touch failed: " +
+                    std::strerror(err);
+      }
+      return true;
+    }
+  }
+  // Refreshing someone else's generation would keep a shard we no longer
+  // own looking alive: stop beating.
+  lost_.store(true, std::memory_order_release);
+  return false;
+}
+
+void ShardLease::record_error(const std::string& error) {
+  // If the lease was already adopted away or stolen, the newer generation
+  // belongs to someone else and the bump simply loses.
+  std::lock_guard<std::mutex> lk(mu_);
+  LeaseInfo next = info_;
+  next.error = one_line(error);
+  bump_locked(next);
 }
 
 void ShardLease::assert_still_mine() {
   {
-    std::lock_guard<std::mutex> clk(content_mu_);
-    if (!lost() && still_mine_locked()) return;
+    std::lock_guard<std::mutex> lk(mu_);
+    if (still_mine_locked()) return;
   }
   lost_.store(true, std::memory_order_release);
   throw LeaseLostError(
-      "shard lease '" + path_ + "' no longer carries worker '" + worker_id_ +
-      "' at steal epoch " + std::to_string(epoch_) +
-      " (adopted away or stolen); aborting before appending another record");
+      "shard lease '" + stem_ + "' has a generation newer than worker '" +
+      worker_id_ + "' created (adopted away or stolen); aborting before "
+      "appending another record");
 }
 
 void ShardLease::reserve_through(std::size_t idx, std::size_t limit) {
   // Reservation chunk: how far past the requested index the watermark jumps,
-  // so the lease is rewritten once per chunk, not once per run.
+  // so the lease is bumped once per chunk, not once per run.
   constexpr std::size_t kReserveChunk = 8;
-  std::lock_guard<std::mutex> clk(content_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   if (idx < reserved_) return;
-  const auto lose = [this](const std::string& why) {
-    lost_.store(true, std::memory_order_release);
-    throw LeaseLostError("shard lease '" + path_ + "': " + why +
-                         " — the unreserved tail belongs to its new owner; "
-                         "aborting the unit");
-  };
-  if (lost()) lose("already observed lost");
   std::size_t target = idx + kReserveChunk;
   if (target > limit) target = limit;
   if (target <= idx) target = idx + 1;  // defensive: callers pass idx < limit
-  // Probe first: never rename-take a lease that is no longer ours.
-  LeaseInfo cur = parse_lease(read_whole_file(path_));
-  if (cur.owner != worker_id_ || cur.epoch != epoch_) {
-    lose("stolen or adopted away (owner/epoch changed)");
+  LeaseInfo next = info_;
+  next.split_at = target;
+  if (!bump_locked(next)) {
+    throw LeaseLostError("shard lease '" + stem_ +
+                         "': a newer generation won the reservation (stolen "
+                         "or adopted away) — the unreserved tail belongs to "
+                         "its new owner; aborting the unit");
   }
-  // The raise is a rename-take + O_EXCL re-create CAS, the same shape as a
-  // steal commit, so the two serialise on the filesystem: whichever takes
-  // the file first wins, and the loser observes it and backs off.
-  const std::string tmp = path_ + ".reserve-" + worker_id_;
-  if (::rename(path_.c_str(), tmp.c_str()) != 0) {
-    lose("vanished mid-reservation (stolen or adopted away)");
-  }
-  cur = parse_lease(read_whole_file(tmp));
-  if (cur.owner != worker_id_ || cur.epoch != epoch_) {
-    // A steal committed between the probe and the take: hand the stealer's
-    // lease back (atomic; a racing fresh claimer in this sliver of time is
-    // displaced and aborts safely at its own pre-append probe).
-    ::rename(tmp.c_str(), path_.c_str());
-    lose("stolen between probe and take");
-  }
-  cur.split_at = target;
-  cur.has_split_at = true;
-  const bool ok = create_lease_file(path_, format_lease_info(cur));
-  ::unlink(tmp.c_str());
-  if (!ok) lose("a new claimer re-created the lease mid-reservation");
   reserved_ = target;
 }
 
 void ShardLease::stop_beat() {
   {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!stop_) {
-      stop_ = true;
-      cv_.notify_all();
-    }
+    std::lock_guard<std::mutex> lk(beat_mu_);
+    stop_ = true;
+    cv_.notify_all();
   }
   if (beat_.joinable()) beat_.join();
 }
 
 void ShardLease::release() {
   stop_beat();
-  if (!released_) {
-    released_ = true;
-    // A lost lease belongs to its adopter (or stealer) now; only unlink our
-    // own — same owner id at the same steal epoch.
-    std::lock_guard<std::mutex> clk(content_mu_);
-    if (!lost() && still_mine_locked()) {
-      ::unlink(path_.c_str());
-    }
+  if (released_) return;
+  released_ = true;
+  std::lock_guard<std::mutex> lk(mu_);
+  LeaseInfo next = info_;
+  next.state = LeaseInfo::State::kReleased;
+  next.split_at = 0;
+  try {
+    bump_locked(next);  // loses harmlessly when the lease was taken over
+  } catch (const SimError& e) {
+    // Runs from the destructor too, so it must not throw. A release that
+    // could not be written leaves the held generation to go stale; its
+    // unit is complete or lost, so nobody needs it sooner.
+    if (io_error_.empty()) io_error_ = e.what();
   }
 }
 
 void ShardLease::abandon() {
   stop_beat();
-  // Deliberately NOT unlinking: the lease stays behind with its error
+  // Deliberately no bump: the held generation stays behind with its error
   // recorded and its heartbeat frozen, goes stale after one TTL, and the
   // next claimer adopts it — or quarantines it once the adoption counter
   // says every adopter has failed the same way.
   released_ = true;
 }
 
-std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
+std::unique_ptr<ShardLease> claim_shard_lease(const std::string& stem,
                                               const std::string& worker_id,
                                               std::uint64_t lease_ttl_ms,
                                               std::uint64_t heartbeat_ms,
-                                              std::uint64_t max_adoptions) {
+                                              std::uint64_t max_adoptions,
+                                              LeaseFs* injected) {
   if (worker_id.empty() || worker_id.find('/') != std::string::npos) {
     throw SimError(SimError::Kind::kBadConfig,
-                   "shard lease '" + path + "': worker id '" + worker_id +
+                   "shard lease '" + stem + "': worker id '" + worker_id +
                        "' must be non-empty and slash-free");
   }
   if (lease_ttl_ms == 0) {
     throw SimError(SimError::Kind::kBadConfig,
-                   "shard lease '" + path + "': lease TTL must be > 0");
+                   "shard lease '" + stem + "': lease TTL must be > 0");
   }
+  LeaseFs& fs = injected != nullptr ? *injected : posix_lease_fs();
 
-  // Quarantine is terminal: a tombstoned shard is never claimable again.
-  const std::string qpath = quarantine_path_for_lease(path);
-  LeaseInfo qinfo;
-  if (read_lease_info(qpath, &qinfo)) {
-    throw_quarantined(path, quarantine_summary(qinfo));
-  }
-
-  // Fresh claim: O_EXCL picks exactly one winner among racing creators.
-  if (create_lease_file(path, format_lease(worker_id, 0, ""))) {
-    return std::unique_ptr<ShardLease>(
-        new ShardLease(path, worker_id, lease_ttl_ms, heartbeat_ms,
-                       /*adoptions=*/0, /*carried_error=*/"", /*epoch=*/0));
-  }
-
-  // Lease exists. Alive (heartbeat within the TTL window, clock skew
-  // included) → conflict, transient: the owner is working the shard.
-  std::uint64_t mtime = 0;
-  if (!lease_mtime_ms(path, &mtime)) {
-    throw_conflict(path, "vanished mid-claim (owner released or was adopted)");
-  }
-  const LeaseInfo info = parse_lease(read_whole_file(path));
-  const std::uint64_t now = wall_now_ms();
-  if (lease_alive(mtime, now, lease_ttl_ms)) {
-    throw_conflict(path, "held by live worker '" + info.owner +
-                             "' (heartbeat " +
-                             std::to_string(now > mtime ? now - mtime : 0) +
-                             " ms ago, TTL " + std::to_string(lease_ttl_ms) +
-                             " ms)");
-  }
-
-  // Stale: the owner stopped heartbeating for a full TTL — dead worker (or
-  // one that deliberately abandon()ed the shard after a permanent error).
-  if (max_adoptions != 0 && info.adoptions >= max_adoptions) {
-    // Poison shard: it has already been adopted max_adoptions times and
-    // every adopter died or abandoned it. Quarantine instead of adopting —
-    // rename has exactly one winner, so racing adopters cannot tombstone
-    // twice (the losers get a transient conflict, then see the tombstone).
-    if (::rename(path.c_str(), qpath.c_str()) != 0) {
-      throw_conflict(path, "stale, but another worker adopted or "
-                           "quarantined it first");
-    }
-    std::string tomb = "owner " + info.owner + "\nadoptions " +
-                       std::to_string(info.adoptions) + "\nquarantined-by " +
-                       worker_id + "\n";
-    if (!info.error.empty()) tomb += "error " + one_line(info.error) + "\n";
-    write_file_atomic(qpath, tomb, worker_id);
-    throw_quarantined(path, quarantine_summary(parse_lease(tomb)));
-  }
-
-  // Adopt. Steal by rename: the source vanishes for everyone else, so
-  // exactly one adopter proceeds past this line for a given incarnation.
-  const std::string tomb = path + ".adopt-" + worker_id;
-  if (::rename(path.c_str(), tomb.c_str()) != 0) {
-    throw_conflict(path, "stale, but another worker adopted it first");
-  }
-  ::unlink(tomb.c_str());
-  // Re-claim through the same O_EXCL gate, carrying the adoption counter
-  // (incremented), the dead worker's recorded error AND its steal epoch
-  // forward — the epoch keeps child-journal names monotone across adoption —
-  // while the reservation watermark deliberately resets (the new owner
-  // reserves afresh before dispatching anything). A racing *fresh* claimer
-  // that saw the path empty after our rename may legitimately beat us here.
+  // Decide from the current generation; the bump below fails if any other
+  // transition left it first, so the decision and the commit are one CAS.
+  LeaseInfo cur;
+  const bool exists = read_lease_info(stem, &cur, fs);
   LeaseInfo next;
-  next.owner = worker_id;
-  next.adoptions = info.adoptions + 1;
-  next.error = info.error;
-  next.epoch = info.epoch;
-  if (!create_lease_file(path, format_lease_info(next))) {
-    throw_conflict(path, "stale lease stolen, but a new claimer re-created "
-                         "it first");
+  bool adopted = false;
+  if (exists) {
+    // Quarantine is terminal: no generation ever follows it.
+    if (cur.state == LeaseInfo::State::kQuarantined) {
+      throw_quarantined(stem, quarantine_summary(cur));
+    }
+    next = cur;
+    next.split_at = 0;  // a new holder reserves afresh before dispatching
+    if (cur.state == LeaseInfo::State::kHeld) {
+      const std::uint64_t now = fs.now_ms();
+      if (lease_alive(cur.mtime_ms, now, lease_ttl_ms)) {
+        throw_conflict(stem, "held by live worker '" + cur.owner +
+                                 "' (heartbeat " +
+                                 std::to_string(now > cur.mtime_ms
+                                                    ? now - cur.mtime_ms
+                                                    : 0) +
+                                 " ms ago, TTL " +
+                                 std::to_string(lease_ttl_ms) + " ms)");
+      }
+      // Stale: the holder stopped heartbeating for a full TTL — dead
+      // worker, or one that abandon()ed the shard after a permanent error.
+      if (max_adoptions != 0 && cur.adoptions >= max_adoptions) {
+        // Poison shard: every one of max_adoptions adopters died or gave up.
+        // Quarantine instead of adopting, keeping the last owner's record.
+        LeaseInfo tomb = cur;
+        tomb.state = LeaseInfo::State::kQuarantined;
+        if (!create_next_generation(fs, stem, cur.generation, tomb)) {
+          throw_conflict(stem, "stale, but another worker moved it first");
+        }
+        throw_quarantined(stem, quarantine_summary(tomb));
+      }
+      ++next.adoptions;
+      adopted = true;
+    }
   }
-  return std::unique_ptr<ShardLease>(
-      new ShardLease(path, worker_id, lease_ttl_ms, heartbeat_ms,
-                     info.adoptions + 1, info.error, info.epoch));
+  next.state = LeaseInfo::State::kHeld;
+  next.owner = worker_id;
+  if (!create_next_generation(fs, stem, cur.generation, next)) {
+    throw_conflict(stem, "generation " + std::to_string(cur.generation + 1) +
+                             " was created by another worker first");
+  }
+  next.generation = cur.generation + 1;
+  std::unique_ptr<ShardLease> lease(
+      new ShardLease(fs, stem, std::move(next), adopted));
+  if (injected == nullptr) {
+    std::uint64_t hb = heartbeat_ms != 0 ? heartbeat_ms : lease_ttl_ms / 4;
+    lease->start_beat(hb != 0 ? hb : 1);
+  }
+  return lease;
+}
+
+LeaseInfo steal_lease(const std::string& stem, std::size_t unit_runs,
+                      std::uint64_t lease_ttl_ms, LeaseFs& fs) {
+  LeaseInfo cur;
+  if (!read_lease_info(stem, &cur, fs) ||
+      cur.state != LeaseInfo::State::kHeld) {
+    throw_conflict(stem, "nothing to steal: no live lease (claim the unit "
+                         "instead)");
+  }
+  if (!lease_alive(cur.mtime_ms, fs.now_ms(), lease_ttl_ms)) {
+    throw_conflict(stem, "stale — adopt the whole unit instead of stealing "
+                         "its tail");
+  }
+  if (cur.split_at == 0) {
+    throw_conflict(stem, "owner '" + cur.owner +
+                             "' maintains no reservation watermark "
+                             "(stealing disabled, or no run dispatched yet)");
+  }
+  if (cur.split_at >= unit_runs) {
+    throw_conflict(stem, "nothing left to steal (watermark at the unit end)");
+  }
+  // The holder's name stays for status; nobody heartbeats this generation,
+  // so the truncated unit goes stale after one TTL and is adopted whole.
+  LeaseInfo next = cur;
+  ++next.epoch;
+  if (!create_next_generation(fs, stem, cur.generation, next)) {
+    throw_conflict(stem, "the lease moved mid-steal (reserved, released, "
+                         "adopted or stolen first)");
+  }
+  next.generation = cur.generation + 1;
+  return next;
+}
+
+bool StallTracker::stalled(const std::string& stem, std::uint64_t patience_ms,
+                           std::chrono::steady_clock::time_point now) {
+  LeaseInfo li;
+  if (!read_lease_info(stem, &li) || li.state != LeaseInfo::State::kHeld) {
+    seen_.erase(stem);  // claimable or terminal, not a straggler
+    return false;
+  }
+  auto it = seen_.find(stem);
+  if (it == seen_.end() || it->second.first != li.generation) {
+    seen_[stem] = {li.generation, now};
+    return false;
+  }
+  const auto idle = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        now - it->second.second)
+                        .count();
+  return idle >= 0 && static_cast<std::uint64_t>(idle) >= patience_ms;
 }
 
 // ---- shard completion / coverage probes ------------------------------------
 
-std::size_t shard_journal_coverage(const std::string& path, std::size_t runs) {
+namespace {
+
+/// A journal's done-bitmap over its first `bound` indices (bound 0 = the
+/// header's run count), or nullopt for a missing, torn-header or corrupt
+/// journal. Shared by the coverage and completeness probes.
+struct JournalCoverage {
   JournalContents contents;
-  try {
-    contents = read_journal(path);
-  } catch (const SimError&) {
-    return 0;  // missing, torn-header or corrupt: nothing recoverable yet
-  }
-  const std::size_t bound =
-      runs != 0 ? runs : static_cast<std::size_t>(contents.header.runs);
-  if (bound == 0) return 0;
-  std::vector<bool> done(bound, false);
+  std::vector<bool> done;
   std::size_t have = 0;
-  for (const JournalRecord& rec : contents.records) {
-    if (rec.index < bound && !done[rec.index]) {
-      done[rec.index] = true;
-      ++have;
+};
+
+std::optional<JournalCoverage> journal_coverage(const std::string& path,
+                                                std::size_t bound) {
+  JournalCoverage c;
+  try {
+    c.contents = read_journal(path);
+  } catch (const SimError&) {
+    return std::nullopt;
+  }
+  if (bound == 0) bound = static_cast<std::size_t>(c.contents.header.runs);
+  c.done.assign(bound, false);
+  for (const JournalRecord& rec : c.contents.records) {
+    if (rec.index < bound && !c.done[rec.index]) {
+      c.done[rec.index] = true;
+      ++c.have;
     }
   }
-  return have;
+  return c;
+}
+
+}  // namespace
+
+std::size_t shard_journal_coverage(const std::string& path, std::size_t runs) {
+  const std::optional<JournalCoverage> c = journal_coverage(path, runs);
+  return c ? c->have : 0;
 }
 
 bool shard_journal_complete(const std::string& path, std::size_t runs) {
   if (runs == 0) return true;  // an empty shard has nothing to record
-  JournalContents contents;
-  try {
-    contents = read_journal(path);
-  } catch (const SimError&) {
-    return false;  // missing, torn-header or corrupt: not complete
-  }
+  const std::optional<JournalCoverage> c = journal_coverage(path, runs);
   // v2 journals are mergeable read-only: one that already holds every record
   // is complete as-is and must NOT be re-claimed (resume would refuse to
   // extend it). v1 predates the shard layer and is never complete here.
-  if (contents.header.version < 2) return false;
-  std::vector<bool> done(runs, false);
-  std::size_t have = 0;
-  for (const JournalRecord& rec : contents.records) {
-    if (rec.index < runs && !done[rec.index]) {
-      done[rec.index] = true;
-      ++have;
-    }
-  }
-  if (contents.decision) {
+  if (!c || c->contents.header.version < 2) return false;
+  if (c->contents.decision) {
     // Early-stopped unit: the decision record marks the journal final at
     // `executed` runs — it is complete the moment every run it covers is
     // recorded, which is what makes a pruned sweep cell stop consuming
     // fleet budget (run_fleet skips complete units).
     const std::size_t executed = std::min(
-        static_cast<std::size_t>(contents.decision->executed), runs);
-    for (std::size_t i = 0; i < executed; ++i) {
-      if (!done[i]) return false;
-    }
-    return true;
+        static_cast<std::size_t>(c->contents.decision->executed), runs);
+    return std::all_of(c->done.begin(), c->done.begin() + executed,
+                       [](bool d) { return d; });
   }
-  return have == runs;
+  return c->have == runs;
 }
 
 // ---- generic fleet worker loop ---------------------------------------------
@@ -702,8 +782,7 @@ struct FleetUnit {
   std::size_t index = 0;
   std::string name;  ///< for progress and error messages
   std::string journal;
-  std::string lease;
-  std::string quarantine;
+  std::string lease;  ///< lease stem
   std::uint64_t base_seed = 0;  ///< first seed of this unit
   std::size_t runs = 0;
   CampaignOptions opts;
@@ -715,118 +794,60 @@ struct FleetUnit {
   std::size_t local_begin = 0;  ///< unit's first parent-local run index
 };
 
-/// Everything steal_tail needs to split one live unit. Derivable from a
-/// FleetUnit plus the directory, or from the manifest for the public API.
-struct StealTarget {
-  std::string dir;
-  std::string name;     ///< for error messages
-  std::string lease;    ///< victim lease path
-  std::string journal;  ///< victim journal path ('D' refusal probe)
-  std::size_t shard_no = 0;
-  std::size_t shard_count = 0;
-  std::size_t local_begin = 0;       ///< unit's first parent-local index
-  std::size_t unit_runs = 0;         ///< unit size (post any earlier splits)
-  std::uint64_t unit_base_seed = 0;  ///< first seed of the unit
-  std::uint64_t shard_begin_global = 0;  ///< global index of unit slot 0
-  std::uint64_t total_runs = 0;
-  std::uint64_t scenario_digest = 0;
-  std::string tag;
-};
-
-/// The steal commit: atomically bump the victim lease's epoch and pin its
-/// watermark (rename-take + O_EXCL re-create, serialising against the
-/// owner's reserve_through CAS), then create the child journal — the
+/// The steal commit: bump the victim lease (steal_lease: epoch incremented,
+/// watermark pinned — the same CAS as the owner's reserve_through, so
+/// exactly one of them wins), then create the child journal — the
 /// durable split marker whose filename encodes the new partition. A crash
 /// between the two steps is a harmless no-op: the epoch bumped but no child
 /// exists, so the displaced owner aborts, the lease goes stale, and the
 /// next claimer adopts the unit whole. Throws kBadConfig for decided ('D')
 /// journals, kLeaseConflict (transient) for every racy or not-stealable-yet
 /// condition.
-StealResult steal_tail(const StealTarget& t, std::uint64_t lease_ttl_ms,
+StealResult steal_tail(const std::string& dir, const FleetUnit& unit,
+                       std::uint64_t lease_ttl_ms,
                        const std::string& thief_id) {
   // Decided journals are never split: the decision record pins the global
   // seed order of the (single-shard) sequential campaign, and a child
   // journal would claim runs the campaign chose never to execute.
   std::optional<JournalContents> jc;
   try {
-    jc = read_journal(t.journal);
+    jc = read_journal(unit.journal);
   } catch (const SimError&) {
     // Missing or unreadable journal: nothing decided, stealing may proceed
     // (the claimer of the child resumes or heals as usual).
   }
   if (jc && jc->decision) {
     throw SimError(SimError::Kind::kBadConfig,
-                   "work stealing: " + t.name + " ('" + t.journal +
+                   "work stealing: " + unit.name + " ('" + unit.journal +
                        "') carries a sequential-verdict decision record — "
                        "decided journals are never split");
   }
 
-  LeaseInfo info;
-  std::uint64_t mtime = 0;
-  if (!read_lease_info(t.lease, &info) || !lease_mtime_ms(t.lease, &mtime)) {
-    throw_conflict(t.lease, "nothing to steal: no live lease (claim the "
-                            "unit instead)");
-  }
-  if (!lease_alive(mtime, wall_now_ms(), lease_ttl_ms)) {
-    throw_conflict(t.lease, "stale — adopt the whole unit instead of "
-                            "stealing its tail");
-  }
-  if (!info.has_split_at) {
-    throw_conflict(t.lease, "owner '" + info.owner +
-                                "' maintains no reservation watermark "
-                                "(stealing disabled, or no run dispatched "
-                                "yet)");
-  }
-  if (info.split_at >= t.unit_runs) {
-    throw_conflict(t.lease, "nothing left to steal (watermark at the unit "
-                            "end)");
-  }
-
-  // Commit, step 1: take the lease, re-read the authoritative watermark,
-  // re-create it with the epoch bumped and split_at pinned. rename has
-  // exactly one winner, so a concurrent reserve_through or second stealer
-  // loses cleanly.
-  const std::string tmp = t.lease + ".steal-" + thief_id;
-  if (::rename(t.lease.c_str(), tmp.c_str()) != 0) {
-    throw_conflict(t.lease, "vanished mid-steal (released, adopted or "
-                            "stolen first)");
-  }
-  info = parse_lease(read_whole_file(tmp));
-  const std::size_t split = static_cast<std::size_t>(info.split_at);
-  if (!info.has_split_at || split >= t.unit_runs) {
-    ::rename(tmp.c_str(), t.lease.c_str());  // hand the lease back untouched
-    throw_conflict(t.lease, "watermark reached the unit end mid-steal");
-  }
-  LeaseInfo next = info;
-  next.epoch = info.epoch + 1;
-  next.split_at = split;
-  next.has_split_at = true;
-  const bool ok = create_lease_file(t.lease, format_lease_info(next));
-  ::unlink(tmp.c_str());
-  if (!ok) {
-    throw_conflict(t.lease, "a new claimer re-created the lease mid-steal");
-  }
+  // Commit, step 1: the lease bump.
+  const LeaseInfo next = steal_lease(unit.lease, unit.runs, lease_ttl_ms);
+  const std::size_t split = static_cast<std::size_t>(next.split_at);
 
   // Commit, step 2: the child journal (header only) — the durable marker
   // from which every pass of every worker recomputes the partition.
   JournalHeader h;
-  h.base_seed = t.unit_base_seed + split;
-  h.runs = t.unit_runs - split;
-  h.scenario_digest = t.scenario_digest;
-  h.tag = t.tag;
-  h.shard_index = t.shard_no;
-  h.shard_count = t.shard_count;
-  h.shard_begin = t.shard_begin_global + split;
-  h.total_runs = t.total_runs;
+  h.base_seed = unit.base_seed + split;
+  h.runs = unit.runs - split;
+  h.scenario_digest = unit.opts.scenario_digest;
+  h.tag = unit.opts.journal_tag;
+  h.shard_index = unit.shard_no;
+  h.shard_count = unit.opts.shard_count;
+  h.shard_begin = unit.opts.shard_begin + split;
+  h.total_runs = unit.opts.total_runs;
   h.worker_id = thief_id;
   h.steal_epoch = next.epoch;
 
   StealResult r;
   r.epoch = next.epoch;
-  r.split_at = t.local_begin + split;
-  r.stolen_runs = t.unit_runs - split;
+  r.split_at = unit.local_begin + split;
+  r.stolen_runs = unit.runs - split;
   r.child_journal = shard_steal_journal_path(
-      t.dir, t.shard_no, t.shard_count, next.epoch, t.local_begin + split);
+      dir, unit.shard_no, static_cast<std::size_t>(unit.opts.shard_count),
+      next.epoch, unit.local_begin + split);
   {
     JournalWriter w(r.child_journal, h, /*flush_every=*/1);
     w.sync();
@@ -834,27 +855,61 @@ StealResult steal_tail(const StealTarget& t, std::uint64_t lease_ttl_ms,
   return r;
 }
 
-StealTarget steal_target_of(const std::string& dir, const FleetUnit& unit) {
-  StealTarget t;
-  t.dir = dir;
-  t.name = unit.name;
-  t.lease = unit.lease;
-  t.journal = unit.journal;
-  t.shard_no = unit.shard_no;
-  t.shard_count = static_cast<std::size_t>(unit.opts.shard_count);
-  t.local_begin = unit.local_begin;
-  t.unit_runs = unit.runs;
-  t.unit_base_seed = unit.base_seed;
-  t.shard_begin_global = unit.opts.shard_begin;
-  t.total_runs = unit.opts.total_runs;
-  t.scenario_digest = unit.opts.scenario_digest;
-  t.tag = unit.opts.journal_tag;
-  return t;
+/// The sub-units of campaign shard `i` under the manifest `m`: the primary,
+/// then the stolen tails the directory names. Child filenames tile the
+/// shard: the primary covers [0, first child's begin) and child k covers
+/// [begin_k, begin_{k+1}), the last child running to the shard end.
+std::vector<FleetUnit> shard_units(const std::string& dir,
+                                   const FleetManifest& m, std::size_t i,
+                                   const CampaignOptions& opts,
+                                   const FaultCampaign::RunFn& fn) {
+  const std::size_t count = m.shard_count;
+  const ShardRange range = shard_range(i, count, m.total_runs);
+  std::vector<FleetUnit> units;
+  const auto add = [&](std::size_t b, std::size_t e, const StealChild* kid) {
+    FleetUnit u;
+    u.index = i;
+    u.name = "shard " + std::to_string(i) + "/" + std::to_string(count);
+    u.journal = shard_journal_path(dir, i, count);
+    u.lease = shard_lease_path(dir, i, count);
+    if (kid != nullptr) {
+      u.name += " tail@" + std::to_string(b);
+      u.journal = shard_steal_journal_path(dir, i, count, kid->epoch, b);
+      u.lease = shard_steal_lease_path(dir, i, count, kid->epoch, b);
+    }
+    u.base_seed = m.base_seed + range.begin + b;
+    u.runs = e - b;
+    u.opts = opts;
+    u.opts.shard_index = i;
+    u.opts.shard_count = count;
+    u.opts.shard_begin = range.begin + b;
+    u.opts.total_runs = m.total_runs;
+    u.opts.steal_epoch = kid != nullptr ? kid->epoch : 0;
+    // A stolen unit shrinks after its journal header was written, so
+    // resume must tolerate header.runs covering a superset of the unit.
+    u.opts.accept_journal_superset = true;
+    u.fn = fn;
+    u.stealable = true;
+    u.shard_no = i;
+    u.local_begin = b;
+    units.push_back(std::move(u));
+  };
+  const std::vector<StealChild> kids = scan_steal_children(dir, i, count);
+  add(0, kids.empty() ? range.size() : std::min(kids.front().begin,
+                                                range.size()),
+      nullptr);
+  for (std::size_t k = 0; k < kids.size(); ++k) {
+    const std::size_t b = kids[k].begin;
+    const std::size_t e =
+        k + 1 < kids.size() ? kids[k + 1].begin : range.size();
+    if (b < range.size() && b < e) add(b, e, &kids[k]);  // else: stray file
+  }
+  return units;
 }
 
 /// The self-healing claim/run/adopt/quarantine loop shared by
 /// run_sharded_campaign and run_sharded_sweep. Per pass over the units
-/// (starting at the worker's preferred one, then roaming): skip tombstoned
+/// (starting at the worker's preferred one, then roaming): skip quarantined
 /// and complete units, claim the rest, execute claimed ones as
 /// journaled+resumed campaigns, and classify every failure —
 ///
@@ -883,12 +938,8 @@ ShardProgress run_fleet(const UnitsProvider& provider,
                         const ShardOptions& shard,
                         const std::string& worker_id) {
   ShardProgress prog;
-  std::set<std::string> quarantined;  // terminal units, keyed by lease path
-  // Straggler tracking for the steal pass: lease path -> (last observed
-  // "epoch:split_at" fingerprint, when it last changed).
-  std::map<std::string,
-           std::pair<std::string, std::chrono::steady_clock::time_point>>
-      stalled;
+  std::set<std::string> quarantined;  // terminal units, keyed by lease stem
+  StallTracker stalls;  // straggler clock of the steal pass
   const auto started = std::chrono::steady_clock::now();
   std::vector<FleetUnit> units;
   for (;;) {
@@ -904,7 +955,8 @@ ShardProgress run_fleet(const UnitsProvider& provider,
       const std::size_t i = (prefer + k) % units.size();
       const FleetUnit& unit = units[i];
       if (unit.runs == 0) continue;  // empty unit: trivially complete
-      if (quarantined.count(unit.lease) || file_exists(unit.quarantine)) {
+      LeaseInfo li;
+      if (quarantined.count(unit.lease) || lease_quarantined(unit.lease, &li)) {
         quarantined.insert(unit.lease);  // terminal: skip without claiming
         continue;
       }
@@ -926,7 +978,7 @@ ShardProgress run_fleet(const UnitsProvider& provider,
         }
         if (e.kind() == SimError::Kind::kShardQuarantined) {
           // Terminal by contract — whether this claim performed the
-          // quarantine or merely found the tombstone, the unit is done
+          // quarantine or merely found it, the unit is done
           // failing and the fleet moves on.
           quarantined.insert(unit.lease);
           progressed = true;
@@ -1049,44 +1101,20 @@ ShardProgress run_fleet(const UnitsProvider& provider,
     }
     if (!progressed && shard.steal_after_ms > 0 && !steal_candidates.empty()) {
       // Steal pass: the claim pass is drained (every remaining unit is
-      // leased by a live peer), so look for a straggler. A unit counts as
-      // stalled once its owner's (epoch, watermark) fingerprint has not
-      // moved for steal_after_ms — an owner making progress raises the
-      // watermark, a stolen unit bumps the epoch, and either resets the
-      // clock. Stealing splits the live unit at its watermark: the owner
-      // keeps [0, split_at), we take [split_at, end) as a child unit with
-      // its own journal.
+      // leased by a live peer), so look for a straggler: a unit whose held
+      // lease generation has not moved for steal_after_ms (StallTracker).
+      // Stealing splits the live unit at its watermark: the owner keeps
+      // [0, split_at), we take [split_at, end) as a child unit with its own
+      // journal.
       const auto now = std::chrono::steady_clock::now();
       for (std::size_t i : steal_candidates) {
         const FleetUnit& unit = units[i];
-        std::string fp;
+        if (!stalls.stalled(unit.lease, shard.steal_after_ms, now)) continue;
         try {
-          const LeaseInfo li = parse_lease(read_whole_file(unit.lease));
-          fp = li.owner + "/" + std::to_string(li.epoch) + ":" +
-               (li.has_split_at ? std::to_string(li.split_at) : "-");
-        } catch (const SimError&) {
-          stalled.erase(unit.lease);  // lease vanished: claimable next pass
-          continue;
-        }
-        auto it = stalled.find(unit.lease);
-        if (it == stalled.end() || it->second.first != fp) {
-          stalled[unit.lease] = {fp, now};
-          continue;
-        }
-        const auto idle =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - it->second.second)
-                .count();
-        if (idle < 0 ||
-            static_cast<std::uint64_t>(idle) < shard.steal_after_ms) {
-          continue;
-        }
-        try {
-          steal_tail(steal_target_of(shard.dir, unit), shard.lease_ttl_ms,
-                     worker_id);
+          steal_tail(shard.dir, unit, shard.lease_ttl_ms, worker_id);
           ++prog.shards_stolen;
           progressed = true;
-          stalled.erase(unit.lease);
+          stalls.forget(unit.lease);
           // The child unit appears in the next provider() pass and is
           // claimed through the ordinary path.
         } catch (const SimError& e) {
@@ -1097,7 +1125,7 @@ ShardProgress run_fleet(const UnitsProvider& provider,
             ++prog.lease_conflicts;
           } else if (e.kind() == SimError::Kind::kBadConfig) {
             // Decided journal: never split. Leave it to its owner.
-            stalled.erase(unit.lease);
+            stalls.forget(unit.lease);
           } else {
             throw;
           }
@@ -1123,7 +1151,8 @@ ShardProgress run_fleet(const UnitsProvider& provider,
   // Count terminal units against the final layout (a live repartition may
   // have retired lease paths quarantined under an earlier layout).
   for (const FleetUnit& u : units) {
-    if (quarantined.count(u.lease) || file_exists(u.quarantine)) {
+    LeaseInfo li;
+    if (quarantined.count(u.lease) || lease_quarantined(u.lease, &li)) {
       ++prog.shards_quarantined;
     }
   }
@@ -1205,41 +1234,6 @@ FleetManifest parse_fleet_manifest(const std::string& path,
   return m;
 }
 
-/// First-writer-wins pinned-file creation: the content is written to a
-/// private tmp file (fsynced) and link()ed into place — link fails with
-/// EEXIST if the file already exists, and because the final name appears
-/// atomically a losing worker can never read a torn file. Shared by the
-/// fleet and sweep manifests.
-bool create_pinned_file(const std::string& path, const std::string& content,
-                        const std::string& tmp_tag) {
-  const std::string tmp = path + ".tmp-" + tmp_tag;
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_io(tmp, "open");
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw_io(tmp, "write");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw_io(tmp, "fsync");
-  }
-  ::close(fd);
-  const int rc = ::link(tmp.c_str(), path.c_str());
-  const int saved_errno = errno;
-  ::unlink(tmp.c_str());
-  if (rc == 0) return true;
-  if (saved_errno == EEXIST) return false;
-  errno = saved_errno;
-  throw_io(path, "link");
-}
-
 }  // namespace
 
 FleetManifest read_fleet_manifest(const std::string& dir) {
@@ -1305,8 +1299,8 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
               "shard count first (it pins the manifest)");
     }
     pinned = read_fleet_manifest(shard.dir);
-  } else if (create_pinned_file(fleet_manifest_path(shard.dir),
-                                format_fleet_manifest(mine), worker_id)) {
+  } else if (create_file_exclusive(fleet_manifest_path(shard.dir),
+                                   format_fleet_manifest(mine))) {
     pinned = mine;
   } else {
     pinned = read_fleet_manifest(shard.dir);
@@ -1349,68 +1343,10 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
   const std::string dir = shard.dir;
   const auto provider = [dir, fn, opts]() {
     const FleetManifest m = read_fleet_manifest(dir);
-    const std::size_t count = m.shard_count;
     std::vector<FleetUnit> units;
-    units.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      const ShardRange range = shard_range(i, count, m.total_runs);
-      const std::vector<StealChild> kids = scan_steal_children(dir, i, count);
-      // Child filenames tile the shard: the primary covers [0, first
-      // child's begin) and child k covers [begin_k, begin_{k+1}) with the
-      // last child running to the shard end.
-      std::size_t cut = kids.empty() ? range.size() : kids.front().begin;
-      if (cut > range.size()) cut = range.size();  // stray oversized name
-      FleetUnit u;
-      u.index = i;
-      u.name =
-          "shard " + std::to_string(i) + "/" + std::to_string(count);
-      u.journal = shard_journal_path(dir, i, count);
-      u.lease = shard_lease_path(dir, i, count);
-      u.quarantine = shard_quarantine_path(dir, i, count);
-      u.base_seed = m.base_seed + range.begin;
-      u.runs = cut;
-      u.opts = opts;
-      u.opts.shard_index = i;
-      u.opts.shard_count = count;
-      u.opts.shard_begin = range.begin;
-      u.opts.total_runs = m.total_runs;
-      u.opts.steal_epoch = 0;
-      // A stolen unit shrinks after its journal header was written, so
-      // resume must tolerate header.runs covering a superset of the unit.
-      u.opts.accept_journal_superset = true;
-      u.fn = fn;
-      u.stealable = true;
-      u.shard_no = i;
-      u.local_begin = 0;
-      units.push_back(std::move(u));
-      for (std::size_t k = 0; k < kids.size(); ++k) {
-        const std::size_t b = kids[k].begin;
-        const std::size_t e =
-            k + 1 < kids.size() ? kids[k + 1].begin : range.size();
-        if (b >= range.size() || b >= e) continue;  // stray file
-        FleetUnit c;
-        c.index = i;
-        c.name = "shard " + std::to_string(i) + "/" +
-                 std::to_string(count) + " tail@" + std::to_string(b);
-        c.journal =
-            shard_steal_journal_path(dir, i, count, kids[k].epoch, b);
-        c.lease = shard_steal_lease_path(dir, i, count, kids[k].epoch, b);
-        c.quarantine =
-            steal_stem(dir, i, count, kids[k].epoch, b) + ".quarantined";
-        c.base_seed = m.base_seed + range.begin + b;
-        c.runs = e - b;
-        c.opts = opts;
-        c.opts.shard_index = i;
-        c.opts.shard_count = count;
-        c.opts.shard_begin = range.begin + b;
-        c.opts.total_runs = m.total_runs;
-        c.opts.steal_epoch = kids[k].epoch;
-        c.opts.accept_journal_superset = true;
-        c.fn = fn;
-        c.stealable = true;
-        c.shard_no = i;
-        c.local_begin = b;
-        units.push_back(std::move(c));
+    for (std::size_t i = 0; i < m.shard_count; ++i) {
+      for (FleetUnit& u : shard_units(dir, m, i, opts, fn)) {
+        units.push_back(std::move(u));
       }
     }
     return units;
@@ -1433,48 +1369,22 @@ StealResult steal_shard_tail(const std::string& dir, std::size_t shard,
                        " out of range for " + std::to_string(m.shard_count) +
                        " shards");
   }
-  const ShardRange range = shard_range(shard, m.shard_count, m.total_runs);
-  const std::vector<StealChild> kids =
-      scan_steal_children(dir, shard, m.shard_count);
-
+  CampaignOptions identity;
+  identity.scenario_digest = m.scenario_digest;
+  identity.journal_tag = m.tag;
+  const std::vector<FleetUnit> units = shard_units(dir, m, shard, identity, {});
   // Steal from the *last* live sub-unit of the shard — the unit that owns
-  // the tail. Walk the tiling and pick the deepest sub-unit whose lease is
-  // present; steal_tail itself re-validates liveness and the watermark.
-  StealTarget t;
-  t.dir = dir;
-  t.shard_no = shard;
-  t.shard_count = m.shard_count;
-  t.total_runs = m.total_runs;
-  t.scenario_digest = m.scenario_digest;
-  t.tag = m.tag;
-  // Default: the primary, possibly truncated by its first child.
-  t.name = "shard " + std::to_string(shard) + "/" +
-           std::to_string(m.shard_count);
-  t.lease = shard_lease_path(dir, shard, m.shard_count);
-  t.journal = shard_journal_path(dir, shard, m.shard_count);
-  t.local_begin = 0;
-  t.unit_runs = kids.empty() ? range.size() : kids.front().begin;
-  t.unit_base_seed = m.base_seed + range.begin;
-  t.shard_begin_global = range.begin;
-  for (std::size_t k = 0; k < kids.size(); ++k) {
-    const std::size_t b = kids[k].begin;
-    const std::size_t e =
-        k + 1 < kids.size() ? kids[k + 1].begin : range.size();
-    if (b >= range.size() || b >= e) continue;
-    const std::string lease =
-        shard_steal_lease_path(dir, shard, m.shard_count, kids[k].epoch, b);
-    if (!file_exists(lease)) continue;
-    t.name = "shard " + std::to_string(shard) + "/" +
-             std::to_string(m.shard_count) + " tail@" + std::to_string(b);
-    t.lease = lease;
-    t.journal =
-        shard_steal_journal_path(dir, shard, m.shard_count, kids[k].epoch, b);
-    t.local_begin = b;
-    t.unit_runs = e - b;
-    t.unit_base_seed = m.base_seed + range.begin + b;
-    t.shard_begin_global = range.begin + b;
+  // the tail: the deepest one whose lease is held (the primary by default).
+  // steal_tail itself re-validates liveness and the watermark.
+  const FleetUnit* victim = &units.front();
+  for (std::size_t k = 1; k < units.size(); ++k) {
+    LeaseInfo li;
+    if (read_lease_info(units[k].lease, &li) &&
+        li.state == LeaseInfo::State::kHeld) {
+      victim = &units[k];
+    }
   }
-  return steal_tail(t, lease_ttl_ms, thief_id);
+  return steal_tail(dir, *victim, lease_ttl_ms, thief_id);
 }
 
 // ---- repartition -----------------------------------------------------------
@@ -1538,21 +1448,24 @@ RepartitionResult repartition_fleet(const std::string& dir,
   // One directory scan collects every shard-layer file from ANY layout
   // (a crash mid-repartition leaves the previous layout's files behind;
   // re-running the repartition heals by folding them all back in).
-  std::vector<std::string> journals, leases, tombs, leftovers;
+  std::vector<std::string> journals, lease_files, leftovers;
+  std::set<std::string> stems;  // every unit lease, by stem
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
     if (name.compare(0, 6, "shard_") != 0) continue;
     const std::string path = entry.path().string();
+    const std::size_t g = path.rfind(".lease.g");
     if (name.ends_with(".journal")) {
       journals.push_back(path);
-    } else if (name.ends_with(".lease")) {
-      leases.push_back(path);
-    } else if (name.ends_with(".quarantined")) {
-      tombs.push_back(path);
+    } else if (g != std::string::npos &&
+               path.find_first_not_of("0123456789", g + 8) ==
+                   std::string::npos) {
+      lease_files.push_back(path);
+      stems.insert(path.substr(0, g + 6));
     } else {
-      leftovers.push_back(path);  // crashed-CAS tmp remnants
+      leftovers.push_back(path);  // a crashed creator's tmp file
     }
   }
   if (ec) {
@@ -1561,25 +1474,25 @@ RepartitionResult repartition_fleet(const std::string& dir,
                        "': " + ec.message());
   }
   std::sort(journals.begin(), journals.end());
-  std::sort(leases.begin(), leases.end());
-  std::sort(tombs.begin(), tombs.end());
 
   // Refuse while any unit lease is live: repartition rewrites the very
   // journals a live owner is appending to. All live leases in one message.
+  std::size_t n_quarantined = 0;
   {
-    const std::uint64_t now = wall_now_ms();
+    const std::uint64_t now = posix_lease_fs().now_ms();
     std::string live;
     std::size_t n_live = 0;
-    for (const std::string& lease : leases) {
-      std::uint64_t mtime = 0;
+    for (const std::string& stem : stems) {
       LeaseInfo info;
-      if (!read_lease_info(lease, &info) || !lease_mtime_ms(lease, &mtime)) {
-        continue;  // vanished or unreadable: stale either way
+      if (!read_lease_info(stem, &info)) continue;
+      if (info.state == LeaseInfo::State::kQuarantined) ++n_quarantined;
+      if (info.state != LeaseInfo::State::kHeld ||
+          !lease_alive(info.mtime_ms, now, lease_ttl_ms)) {
+        continue;
       }
-      if (!lease_alive(mtime, now, lease_ttl_ms)) continue;
       ++n_live;
       if (!live.empty()) live += "; ";
-      live += "'" + lease + "' (owner '" + info.owner + "')";
+      live += "'" + stem + "' (owner '" + info.owner + "')";
     }
     if (n_live > 0) {
       throw SimError(
@@ -1687,34 +1600,27 @@ RepartitionResult repartition_fleet(const std::string& dir,
   }
 
   m.shard_count = new_count;
-  write_file_atomic(fleet_manifest_path(dir), format_fleet_manifest(m),
-                    "repartition");
+  const std::string manifest_tmp = private_tmp(fleet_manifest_path(dir));
+  write_synced(manifest_tmp, format_fleet_manifest(m));
+  if (::rename(manifest_tmp.c_str(), fleet_manifest_path(dir).c_str()) != 0) {
+    ::unlink(manifest_tmp.c_str());
+    throw_io(fleet_manifest_path(dir), "rename");
+  }
 
-  for (const std::string& p : journals) {
-    if (keep.count(p)) continue;
-    if (std::remove(p.c_str()) == 0) ++res.old_files_removed;
-  }
-  for (const std::string& p : leases) {
-    if (keep.count(p)) continue;
-    if (std::remove(p.c_str()) == 0) {
-      ++res.stale_leases_removed;
-      ++res.old_files_removed;
+  // Old-layout files go. Every unit lease belongs to a retired unit (no
+  // lease is live), so its generations are removed whole. Quarantines are
+  // NOT carried into the new tiling: they name units that no longer exist,
+  // and a genuinely poisoned seed re-earns its quarantine under the new
+  // layout via the normal adoption-cap self-healing.
+  res.dropped_quarantines = n_quarantined;
+  res.stale_leases_removed = stems.size() - n_quarantined;
+  for (const std::vector<std::string>* files :
+       {&journals, &lease_files, &leftovers}) {
+    for (const std::string& p : *files) {
+      if (keep.count(p) == 0 && std::remove(p.c_str()) == 0) {
+        ++res.old_files_removed;
+      }
     }
-  }
-  for (const std::string& p : tombs) {
-    if (keep.count(p)) continue;
-    if (std::remove(p.c_str()) == 0) {
-      // Quarantines are NOT carried into the new tiling: the tombstone
-      // names a unit that no longer exists. A genuinely poisoned seed
-      // re-earns its quarantine under the new layout via the normal
-      // adoption-cap self-healing.
-      ++res.dropped_tombstones;
-      ++res.old_files_removed;
-    }
-  }
-  for (const std::string& p : leftovers) {
-    if (keep.count(p)) continue;
-    if (std::remove(p.c_str()) == 0) ++res.old_files_removed;
   }
   return res;
 }
@@ -1845,8 +1751,8 @@ ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
   manifest.tag = opts.journal_tag;
   manifest.mappings = mappings;
   manifest.scenarios = scenarios;
-  if (!create_pinned_file(manifest_path(shard.dir),
-                          format_manifest(manifest), worker_id)) {
+  if (!create_file_exclusive(manifest_path(shard.dir),
+                             format_manifest(manifest))) {
     const SweepManifest pinned = read_sweep_manifest(shard.dir);
     if (format_manifest(pinned) != format_manifest(manifest)) {
       throw SimError(
@@ -1873,7 +1779,6 @@ ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
     u.name = m + "/" + s;
     u.journal = cell_journal_path(shard.dir, c, cells);
     u.lease = cell_lease_path(shard.dir, c, cells);
-    u.quarantine = cell_quarantine_path(shard.dir, c, cells);
     u.base_seed = base_seed;  // common random numbers across cells
     u.runs = n;
     u.opts = opts;
@@ -2171,30 +2076,22 @@ MergedCampaign merge_shard_dir(const std::string& dir,
   // the per-shard scan for steal children, whose journals merge as
   // ordinary sub-units.
   std::vector<std::pair<std::size_t, std::string>> found;
-  // (shard, name, tombstone path) — primaries and steal children alike.
-  std::vector<std::tuple<std::size_t, std::string, std::string>> tombs;
+  std::map<std::string, QuarantinedUnit> primaries;  // by lease stem
   std::size_t shard_count = 0;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
     std::size_t shard = 0, count = 0;
-    int consumed = 0;
-    if (std::sscanf(name.c_str(), "shard_%zu_of_%zu.journal%n", &shard,
-                    &count, &consumed) == 2 &&
-        static_cast<std::size_t>(consumed) == name.size()) {
+    bool is_lease = false;
+    if (!parse_shard_file(name, &shard, &count, &is_lease)) continue;
+    if (shard_count == 0) shard_count = count;
+    if (is_lease) {
+      primaries[shard_lease_path(dir, shard, count)] = QuarantinedUnit{
+          shard, "shard " + std::to_string(shard) + "/" +
+                     std::to_string(count), {}};
+    } else {
       found.emplace_back(shard, entry.path().string());
-      if (shard_count == 0) shard_count = count;
-    }
-    consumed = 0;
-    if (std::sscanf(name.c_str(), "shard_%zu_of_%zu.quarantined%n", &shard,
-                    &count, &consumed) == 2 &&
-        static_cast<std::size_t>(consumed) == name.size()) {
-      tombs.emplace_back(shard,
-                         "shard " + std::to_string(shard) + "/" +
-                             std::to_string(count),
-                         entry.path().string());
-      if (shard_count == 0) shard_count = count;
     }
   }
   if (ec) {
@@ -2205,6 +2102,10 @@ MergedCampaign merge_shard_dir(const std::string& dir,
   std::vector<std::string> paths;
   paths.reserve(found.size());
   for (auto& [shard, path] : found) paths.push_back(std::move(path));
+  std::vector<QuarantinedUnit> quarantined;
+  for (auto& [stem, unit] : primaries) {
+    if (lease_quarantined(stem, &unit.info)) quarantined.push_back(unit);
+  }
   for (std::size_t i = 0; i < shard_count; ++i) {
     for (const StealChild& kid : scan_steal_children(dir, i, shard_count)) {
       const std::string stem =
@@ -2212,26 +2113,28 @@ MergedCampaign merge_shard_dir(const std::string& dir,
       if (file_exists(stem + ".journal")) {
         paths.push_back(stem + ".journal");
       }
-      if (file_exists(stem + ".quarantined")) {
-        tombs.emplace_back(i,
-                           "shard " + std::to_string(i) + "/" +
+      QuarantinedUnit q{i, "shard " + std::to_string(i) + "/" +
                                std::to_string(shard_count) + " tail@" +
-                               std::to_string(kid.begin),
-                           stem + ".quarantined");
+                               std::to_string(kid.begin), {}};
+      if (lease_quarantined(stem + ".lease", &q.info)) {
+        quarantined.push_back(std::move(q));
       }
     }
   }
-  std::sort(tombs.begin(), tombs.end());
-  if (!tombs.empty() && !opts.allow_partial) {
+  std::stable_sort(quarantined.begin(), quarantined.end(),
+                   [](const QuarantinedUnit& a, const QuarantinedUnit& b) {
+                     return a.index < b.index;
+                   });
+  if (!quarantined.empty() && !opts.allow_partial) {
     // Every quarantined unit in one refusal, so the operator sees the whole
     // damage at once.
     std::string list;
-    for (const auto& [shard, name, path] : tombs) {
+    for (const QuarantinedUnit& q : quarantined) {
       if (!list.empty()) list += "; ";
-      list += name + " ('" + path + "')";
+      list += q.name + " (" + quarantine_summary(q.info) + ")";
     }
     throw_merge_incomplete(
-        std::to_string(tombs.size()) +
+        std::to_string(quarantined.size()) +
         " quarantined unit(s) never complete: " + list +
         " — merge with allow_partial (--allow-partial) for an explicitly "
         "degraded report over the completed units");
@@ -2239,20 +2142,14 @@ MergedCampaign merge_shard_dir(const std::string& dir,
   if (paths.empty()) {
     std::string what = "no shard journals (shard_<i>_of_<N>.journal) in '" +
                        dir + "'";
-    if (!tombs.empty()) {
-      what += " (" + std::to_string(tombs.size()) +
-              " quarantined tombstones, but nothing recorded to merge)";
+    if (!quarantined.empty()) {
+      what += " (" + std::to_string(quarantined.size()) +
+              " quarantined units, but nothing recorded to merge)";
     }
     throw_merge_incomplete(what);
   }
   MergedCampaign out = merge_journals(paths, opts);
-  for (auto& [shard, name, path] : tombs) {
-    QuarantinedUnit q;
-    q.index = shard;
-    q.name = name;
-    read_lease_info(path, &q.info);
-    out.quarantined.push_back(std::move(q));
-  }
+  out.quarantined = std::move(quarantined);
   if (!out.quarantined.empty()) out.complete = false;
   return out;
 }
@@ -2285,7 +2182,7 @@ MergedSweep merge_sweep_dir(const std::string& dir, const MergeOptions& opts) {
 
     LeaseInfo qinfo;
     const bool is_quarantined =
-        read_lease_info(cell_quarantine_path(dir, c, cells), &qinfo);
+        lease_quarantined(cell_lease_path(dir, c, cells), &qinfo);
     if (is_quarantined) {
       cell.state = CellState::kQuarantined;
       cell.error = quarantine_summary(qinfo);
@@ -2507,12 +2404,12 @@ const char* to_string(ShardStatusEntry::State s) {
 
 namespace {
 
-/// Classifies one unit from its three files. Pure observation: stat() and
-/// read() only — a status probe must never perturb the fleet it watches.
+/// Classifies one unit from its journal and lease. Pure observation:
+/// stat() and read() only — a status probe must never perturb the fleet it
+/// watches.
 ShardStatusEntry unit_status(std::size_t index, const std::string& name,
                              const std::string& journal,
-                             const std::string& lease,
-                             const std::string& quarantine, std::size_t runs,
+                             const std::string& lease, std::size_t runs,
                              std::uint64_t lease_ttl_ms) {
   ShardStatusEntry e;
   e.index = index;
@@ -2520,34 +2417,27 @@ ShardStatusEntry unit_status(std::size_t index, const std::string& name,
   e.runs = runs;
   e.records = shard_journal_coverage(journal, runs);
 
-  LeaseInfo qinfo;
-  if (read_lease_info(quarantine, &qinfo)) {
-    e.state = ShardStatusEntry::State::kQuarantined;
-    e.owner = qinfo.owner;
-    e.adoptions = qinfo.adoptions;
-    e.error = qinfo.error;
+  LeaseInfo info;
+  const bool has_lease = read_lease_info(lease, &info);
+  using State = ShardStatusEntry::State;
+  if (has_lease && info.state == LeaseInfo::State::kQuarantined) {
+    e.state = State::kQuarantined;
+  } else if (runs > 0 && shard_journal_complete(journal, runs)) {
+    e.state = State::kDone;
     return e;
-  }
-  if (runs > 0 && shard_journal_complete(journal, runs)) {
-    e.state = ShardStatusEntry::State::kDone;
-    return e;
-  }
-  LeaseInfo linfo;
-  std::uint64_t mtime = 0;
-  if (read_lease_info(lease, &linfo) && lease_mtime_ms(lease, &mtime)) {
-    const std::uint64_t now = wall_now_ms();
-    e.state = lease_alive(mtime, now, lease_ttl_ms)
-                  ? ShardStatusEntry::State::kClaimed
-                  : ShardStatusEntry::State::kStale;
-    e.owner = linfo.owner;
-    e.adoptions = linfo.adoptions;
-    e.error = linfo.error;
+  } else if (has_lease && info.state == LeaseInfo::State::kHeld) {
+    const std::uint64_t now = posix_lease_fs().now_ms();
+    e.state = lease_alive(info.mtime_ms, now, lease_ttl_ms) ? State::kClaimed
+                                                            : State::kStale;
     e.heartbeat_age_ms = static_cast<std::int64_t>(now) -
-                         static_cast<std::int64_t>(mtime);
+                         static_cast<std::int64_t>(info.mtime_ms);
+  } else {
+    e.state = runs == 0 ? State::kDone : State::kUnclaimed;
     return e;
   }
-  e.state = runs == 0 ? ShardStatusEntry::State::kDone
-                      : ShardStatusEntry::State::kUnclaimed;
+  e.owner = info.owner;
+  e.adoptions = info.adoptions;
+  e.error = info.error;
   return e;
 }
 
@@ -2583,25 +2473,11 @@ FleetStatus fleet_status(const std::string& dir, std::uint64_t lease_ttl_ms) {
       if (!entry.is_regular_file()) continue;
       const std::string name = entry.path().filename().string();
       std::size_t shard = 0, count = 0;
-      int consumed = 0;
-      const bool is_journal =
-          std::sscanf(name.c_str(), "shard_%zu_of_%zu.journal%n", &shard,
-                      &count, &consumed) == 2 &&
-          static_cast<std::size_t>(consumed) == name.size();
-      consumed = 0;
-      const bool is_lease =
-          std::sscanf(name.c_str(), "shard_%zu_of_%zu.lease%n", &shard,
-                      &count, &consumed) == 2 &&
-          static_cast<std::size_t>(consumed) == name.size();
-      consumed = 0;
-      const bool is_tomb =
-          std::sscanf(name.c_str(), "shard_%zu_of_%zu.quarantined%n", &shard,
-                      &count, &consumed) == 2 &&
-          static_cast<std::size_t>(consumed) == name.size();
-      if (!is_journal && !is_lease && !is_tomb) continue;
+      bool is_lease = false;
+      if (!parse_shard_file(name, &shard, &count, &is_lease)) continue;
       if (shard_count == 0) shard_count = count;
       if (count != shard_count) mixed = true;
-      if (is_journal) journals.push_back(entry.path().string());
+      if (!is_lease) journals.push_back(entry.path().string());
     }
     if (ec) {
       throw SimError(SimError::Kind::kBadConfig,
@@ -2654,8 +2530,7 @@ FleetStatus fleet_status(const std::string& dir, std::uint64_t lease_ttl_ms) {
     subs.push_back(unit_status(
         i, "shard " + std::to_string(i) + "/" + std::to_string(shard_count),
         shard_journal_path(dir, i, shard_count),
-        shard_lease_path(dir, i, shard_count),
-        shard_quarantine_path(dir, i, shard_count), cut, lease_ttl_ms));
+        shard_lease_path(dir, i, shard_count), cut, lease_ttl_ms));
     for (std::size_t k = 0; k < kids.size(); ++k) {
       const std::size_t b = kids[k].begin;
       const std::size_t e =
@@ -2665,7 +2540,6 @@ FleetStatus fleet_status(const std::string& dir, std::uint64_t lease_ttl_ms) {
           steal_stem(dir, i, shard_count, kids[k].epoch, b);
       subs.push_back(unit_status(i, "tail@" + std::to_string(b),
                                  stem + ".journal", stem + ".lease",
-                                 stem + ".quarantined",
                                  total_runs != 0 ? e - b : 0, lease_ttl_ms));
     }
     ShardStatusEntry e = subs.front();
@@ -2714,7 +2588,7 @@ FleetStatus sweep_fleet_status(const std::string& dir,
     ShardStatusEntry e = unit_status(
         c, manifest.cell_mapping(c) + "/" + manifest.cell_scenario(c),
         cell_journal_path(dir, c, cells), cell_lease_path(dir, c, cells),
-        cell_quarantine_path(dir, c, cells), manifest.runs, lease_ttl_ms);
+        manifest.runs, lease_ttl_ms);
     tally(&st, e);
     st.entries.push_back(std::move(e));
   }

@@ -1,10 +1,12 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -30,37 +32,40 @@ namespace sctrace {
 /// one journal per cell, a manifest pinning the grid, and merge_sweep_dir
 /// folding the cells back into the byte-identical sweep output.
 ///
-/// Coordination is filesystem-only, built from two atomic primitives:
+/// Coordination is filesystem-only, built from ONE compare-and-swap: every
+/// unit's lease is a sequence of immutable generation files
+/// `<unit>.lease.g<N>`, and the only lease transition is creating
+/// generation N+1 with O_CREAT | O_EXCL after reading generation N. The
+/// highest generation is current; its creator holds the unit. Claim, adopt,
+/// quarantine, reserve, steal, record-error and release are all such bumps,
+/// each carrying the lease state forward, so two racing transitions from the
+/// same generation have exactly one winner and the lease never vanishes
+/// between them. No lease file is ever renamed, and the highest generation
+/// of a unit is never unlinked (a creator of N+1 may unlink N-1).
 ///
-///   - claim:  open(lease, O_CREAT | O_EXCL) — exactly one creator wins;
-///   - adopt:  rename(lease, lease.adopt-<worker>) — rename has exactly one
-///     winner because the source vanishes for everyone else, so a stale
-///     lease (heartbeat mtime older than the TTL: its worker is dead) is
-///     stolen by at most one survivor, which then re-claims via O_EXCL.
-///
-/// A held lease is heartbeaten by refreshing its mtime from a background
-/// thread. The TTL contract: a worker whose heartbeat stays fresher than
-/// `lease_ttl_ms` owns its shard exclusively; a worker paused for longer
-/// (SIGSTOP, VM freeze) may be adopted away and must treat its shard as
-/// lost — the heartbeat thread detects the takeover (the lease file no
-/// longer names this worker) and the next run raises LeaseLostError, which
-/// aborts the shard instead of recording anything further. A heartbeat mtime
-/// in the *future* beyond the TTL (restored snapshot, clock skew) is treated
-/// as stale too — a lease no live worker is refreshing must never become
+/// A held lease is heartbeaten by refreshing its generation's mtime from a
+/// background thread. The TTL contract: a worker whose heartbeat stays
+/// fresher than `lease_ttl_ms` owns its shard exclusively; a worker paused
+/// for longer (SIGSTOP, VM freeze) may be adopted away and must treat its
+/// shard as lost — the heartbeat thread detects the takeover (a newer
+/// generation exists) and the next run raises LeaseLostError, which aborts
+/// the shard instead of recording anything further. A heartbeat mtime in
+/// the *future* beyond the TTL (restored snapshot, clock skew) is treated as
+/// stale too — a lease no live worker is refreshing must never become
 /// unadoptable just because a clock once lied forward.
 ///
 /// Self-healing: adoption alone cannot save a fleet from a *poison* shard —
 /// a seed that crashes every process that touches it, a full disk, a wedged
 /// host — because each adopter dies in turn and the fleet crash-loops
-/// forever. The lease file therefore records an adoption counter; a claim
-/// that would adopt a shard past `max_adoptions` instead *quarantines* it:
-/// the stale lease is atomically renamed to a `*.quarantined` tombstone
-/// (exactly one winner, like adoption) recording the last owner, the
-/// adoption count and the last recorded SimError. Quarantine is a
-/// first-class terminal state, not an error — workers skip quarantined
-/// shards, the fleet converges on everything else, `--allow-partial` merges
-/// produce a clearly-marked degraded report, and fleet_status() names the
-/// quarantined shard with its recorded error.
+/// forever. The lease therefore carries an adoption counter; a claim that
+/// would adopt a shard past `max_adoptions` instead *quarantines* it: it
+/// bumps the lease to a terminal `state quarantined` generation recording
+/// the last owner, the adoption count and the last recorded SimError. No
+/// generation ever follows a quarantined one. Quarantine is a first-class
+/// terminal state, not an error — workers skip quarantined shards, the
+/// fleet converges on everything else, `--allow-partial` merges produce a
+/// clearly-marked degraded report, and fleet_status() names the quarantined
+/// shard with its recorded error.
 ///
 /// Determinism makes adoption safe: every run is a pure function of its
 /// seed (DESIGN.md §7), and seeds are derived as base_seed + global index,
@@ -79,21 +84,23 @@ namespace sctrace {
 /// rewrites the manifest — propagates to running workers without a restart.
 ///
 /// Straggler work stealing: a worker that drained the claim pass may split
-/// a *live* slow unit. The owner's lease carries a steal epoch and a
-/// `split_at` reservation watermark — the owner reserves forward (in
-/// chunks) before dispatching an index, so every index it will ever append
-/// is < split_at. The stealer atomically (rename-take + O_EXCL re-create)
-/// bumps the epoch, pins split_at, and creates a *child* journal named
+/// a *live* slow unit. The owner's lease carries a `split_at` reservation
+/// watermark — the owner reserves forward (in chunks, each a generation
+/// bump) before dispatching an index, so every index it will ever append is
+/// < split_at. The stealer bumps the lease generation with the steal epoch
+/// incremented and split_at pinned, then creates a *child* journal named
 /// `<unit>.steal<epoch>_at<split_at>.journal` covering [split_at, end).
-/// Child filenames encode the partition, so sub-unit ranges are computable
-/// from the directory alone; children are ordinary units (claimable,
-/// adoptable, quarantinable, themselves stealable). The displaced owner
-/// detects the epoch bump (heartbeat probe + a pre-append lease check) and
-/// aborts via LeaseLostError without appending another record; its
-/// completed prefix is adopted like any stale unit. merge folds parent and
-/// children back into the canonical bytes, refusing cross-journal overlap.
-/// Decided ('D') journals are never split, and sweep cells do not steal —
-/// a cell is already the mobility granularity of a sweep.
+/// Because reservation and steal are both bumps from the same generation,
+/// exactly one of them wins. Child filenames encode the partition, so
+/// sub-unit ranges are computable from the directory alone; children are
+/// ordinary units (claimable, adoptable, quarantinable, themselves
+/// stealable). The displaced owner sees the newer generation (heartbeat
+/// probe + a pre-append lease check) and aborts via LeaseLostError without
+/// appending another record; its completed prefix is adopted like any stale
+/// unit. merge folds parent and children back into the canonical bytes,
+/// refusing cross-journal overlap. Decided ('D') journals are never split,
+/// and sweep cells do not steal — a cell is already the mobility
+/// granularity of a sweep.
 
 /// Half-open global run-index range [begin, end) of one shard.
 struct ShardRange {
@@ -110,15 +117,14 @@ struct ShardRange {
 ShardRange shard_range(std::size_t shard, std::size_t shard_count,
                        std::size_t total_runs);
 
-/// Journal / lease / quarantine filenames inside a shard directory. The
-/// names carry the shard count so a re-partitioned campaign (same dir,
-/// different N) cannot silently collide with the old layout's files.
+/// Journal / lease filenames inside a shard directory. The names carry the
+/// shard count so a re-partitioned campaign (same dir, different N) cannot
+/// silently collide with the old layout's files. A lease path is a *stem*:
+/// the files on disk are its generations (lease_generation_path).
 std::string shard_journal_path(const std::string& dir, std::size_t shard,
                                std::size_t shard_count);
 std::string shard_lease_path(const std::string& dir, std::size_t shard,
                              std::size_t shard_count);
-std::string shard_quarantine_path(const std::string& dir, std::size_t shard,
-                                  std::size_t shard_count);
 
 /// Cell filenames inside a sweep shard directory (run_sharded_sweep): cell
 /// index i = mapping_index * |scenarios| + scenario_index, in grid order.
@@ -126,8 +132,6 @@ std::string cell_journal_path(const std::string& dir, std::size_t cell,
                               std::size_t cell_count);
 std::string cell_lease_path(const std::string& dir, std::size_t cell,
                             std::size_t cell_count);
-std::string cell_quarantine_path(const std::string& dir, std::size_t cell,
-                                 std::size_t cell_count);
 
 /// Child-unit filenames of a stolen tail: the parent unit's stem plus
 /// ".steal<epoch>_at<begin>" (begin is parent-local), so the sub-unit
@@ -139,38 +143,74 @@ std::string shard_steal_lease_path(const std::string& dir, std::size_t shard,
                                    std::size_t shard_count,
                                    std::uint64_t epoch, std::size_t begin);
 
-/// Parsed content of a lease file (or of the quarantine tombstone it became).
-/// The structured format is line-based:
-///
-///   owner <worker id>
-///   adoptions <count>
-///   epoch <steal epoch>                                          (v3; optional)
-///   split_at <reservation watermark, unit-local run index>       (v3; optional)
-///   error <last recorded SimError text, single sanitized line>   (optional)
-///
-/// A file whose first line does not start with "owner " is read as the bare
-/// worker id (the pre-counter format; also what a hand-written lease is),
-/// with zero adoptions and no recorded error. Absent v3 keys parse as epoch
-/// 0 and no watermark — old leases are simply not stealable.
-struct LeaseInfo {
-  std::string owner;
-  std::uint64_t adoptions = 0;
-  std::string error;  ///< last recorded permanent SimError ("" = none)
+/// Generation `gen` (1-based) of the lease at `stem`: "<stem>.g<gen>".
+std::string lease_generation_path(const std::string& stem, std::uint64_t gen);
 
-  /// Steal epoch: bumped by every committed steal of this lease. The owner
-  /// treats an epoch it did not write as loss of the unit.
-  std::uint64_t epoch = 0;
-  /// Reservation watermark: the owner has promised to append only records
-  /// with unit-local index < split_at, and must raise it (atomically)
-  /// before dispatching beyond it. A stealer claims [split_at, end).
-  std::uint64_t split_at = 0;
-  bool has_split_at = false;  ///< false = no watermark line (not stealable)
+/// The filesystem operations the lease protocol is built from. The default
+/// (posix_lease_fs) is the real filesystem and wall clock; tests substitute
+/// an in-memory fake with a stepped clock to enumerate interleavings.
+class LeaseFs {
+ public:
+  virtual ~LeaseFs() = default;
+  /// Creates `path` holding `content` only if it does not exist; readers
+  /// never observe it partially written. False when it already exists;
+  /// throws minisc::SimError(kIoError) on real I/O failure.
+  virtual bool create_exclusive(const std::string& path,
+                                const std::string& content) = 0;
+  /// Whole-file read; false when the file does not exist or is unreadable.
+  virtual bool read(const std::string& path, std::string* out) = 0;
+  /// Modification time in ms since the clock's epoch; false when absent.
+  virtual bool mtime_ms(const std::string& path, std::uint64_t* out) = 0;
+  /// Sets the mtime to now: 0 on success, else the errno (ENOENT = absent).
+  virtual int touch(const std::string& path) = 0;
+  /// Generation numbers of `stem` present on disk, in any order.
+  virtual std::vector<std::uint64_t> list_generations(
+      const std::string& stem) = 0;
+  /// Removes `path`; absent files are ignored.
+  virtual void unlink(const std::string& path) = 0;
+  /// The clock that mtimes and TTLs are measured against.
+  virtual std::uint64_t now_ms() = 0;
 };
 
-/// Reads and parses the lease (or tombstone) at `path`. Returns false when
-/// the file does not exist or cannot be read — never throws; status and
-/// merge probes must not fail on a racing unlink.
-bool read_lease_info(const std::string& path, LeaseInfo* out);
+/// The real filesystem and the system clock.
+LeaseFs& posix_lease_fs();
+
+/// One lease generation. Every generation uses the same six-line format:
+///
+///   state <held | released | quarantined>
+///   owner <worker id of the last holder>
+///   adoptions <count>
+///   epoch <steal epoch: the steal-child name counter>
+///   split_at <reservation watermark, unit-local run index; 0 = none>
+///   error <last recorded SimError text, single sanitized line; may be empty>
+struct LeaseInfo {
+  enum class State { kHeld, kReleased, kQuarantined };
+  State state = State::kHeld;
+  std::string owner;
+  std::uint64_t adoptions = 0;
+  /// Steal epoch: bumped by every committed steal, so child journal names
+  /// stay unique across adoptions.
+  std::uint64_t epoch = 0;
+  /// Reservation watermark: the holder has promised to append only records
+  /// with unit-local index < split_at, and must raise it (by a generation
+  /// bump) before dispatching beyond it. A stealer claims [split_at, end).
+  /// 0 = no watermark (not stealable).
+  std::uint64_t split_at = 0;
+  std::string error;  ///< last recorded permanent SimError ("" = none)
+
+  // Set by read_lease_info, not part of the file content.
+  std::uint64_t generation = 0;  ///< which generation this is (0 = none)
+  std::uint64_t mtime_ms = 0;    ///< its heartbeat mtime
+};
+
+std::string format_lease(const LeaseInfo& info);
+LeaseInfo parse_lease(const std::string& content);
+
+/// Reads the current (highest) generation of the lease at `stem`. Returns
+/// false when the lease has no generation or it cannot be read — never
+/// throws; status and merge probes must not fail on a racing bump.
+bool read_lease_info(const std::string& stem, LeaseInfo* out,
+                     LeaseFs& fs = posix_lease_fs());
 
 /// Thrown between runs when the heartbeat observed this worker's lease
 /// taken over (the worker was paused past the TTL and a survivor adopted
@@ -182,131 +222,164 @@ struct LeaseLostError : std::runtime_error {
 };
 
 /// One held shard lease: created by claim_shard_lease, heartbeaten by a
-/// background thread, released (file unlinked) on destruction — unless the
-/// lease was observed lost, in which case the file belongs to the adopter
-/// and is left alone, or the lease was abandon()ed, in which case it is
-/// deliberately left to go stale so another worker can adopt it (and the
-/// adoption counter can eventually quarantine it).
+/// background thread, released (bumped to `state released`) on destruction
+/// — unless the lease was observed lost, in which case the newer generation
+/// belongs to its creator and is left alone, or the lease was abandon()ed,
+/// in which case it is deliberately left to go stale so another worker can
+/// adopt it (and the adoption counter can eventually quarantine it).
 class ShardLease {
  public:
   ~ShardLease();
   ShardLease(const ShardLease&) = delete;
   ShardLease& operator=(const ShardLease&) = delete;
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return stem_; }
   const std::string& worker_id() const { return worker_id_; }
-  /// True when this claim stole a stale lease from a dead worker.
-  bool adopted() const { return adoptions_ > 0; }
+  /// True when this claim adopted a stale lease from a dead worker.
+  bool adopted() const { return adopted_; }
   /// How many times this shard has been adopted, this claim included.
   std::uint64_t adoptions() const { return adoptions_; }
-  /// True once the heartbeat saw another worker's id (or a foreign steal
-  /// epoch) in the lease file.
-  bool lost() const { return lost_.load(std::memory_order_acquire); }
   /// The steal epoch this claim holds (carried across adoption; bumped only
   /// by a committed steal, which this worker observes as loss).
   std::uint64_t epoch() const { return epoch_; }
+  /// The generation this lease created last (its current one while held).
+  std::uint64_t generation() const;
+  /// True once a probe saw a generation this worker did not create.
+  bool lost() const { return lost_.load(std::memory_order_acquire); }
   /// Non-empty once the heartbeat failed to refresh the lease mtime: the
-  /// errno text of the failed utimensat (EIO, ENOSPC, ...). The fleet loop
+  /// errno text of the failed touch (EIO, ENOSPC, ...). The fleet loop
   /// surfaces it as a structured minisc::SimError(kIoError) between runs.
   std::string io_error() const;
 
-  /// Rewrites the lease content with `error` recorded (atomic rename, so a
-  /// concurrent ownership probe reads either the old or the new content,
-  /// never a torn one). The error survives adoption: each adopter carries
-  /// it forward, and the quarantine tombstone records the last one.
+  /// Records `error` in a new generation. The error survives adoption: each
+  /// adopter carries it forward, and a quarantine records the last one.
   void record_error(const std::string& error);
 
   /// Raises the reservation watermark so that unit-local index `idx` may be
-  /// dispatched: a no-op when idx is already reserved, otherwise an atomic
-  /// (rename-take + O_EXCL re-create) rewrite of the lease with split_at
-  /// advanced to min(limit, idx rounded up to the reserve chunk). Throws
-  /// LeaseLostError — and marks the lease lost — when the lease no longer
-  /// carries this worker's owner id and epoch: a steal committed between
+  /// dispatched: a no-op when idx is already reserved, otherwise a
+  /// generation bump with split_at advanced to min(limit, idx rounded up to
+  /// the reserve chunk). Throws LeaseLostError — and marks the lease lost —
+  /// when the bump loses to another generation: a steal committed between
   /// this worker's runs, and [split_at, end) belongs to the stealer now.
   /// Thread-safe (pool workers call it concurrently).
   void reserve_through(std::size_t idx, std::size_t limit);
 
-  /// Synchronous loss probe: re-reads the lease and throws LeaseLostError
-  /// (marking the lease lost) unless it still carries this worker's owner
-  /// id and epoch. The fleet loop installs this as the campaign's
-  /// pre-append hook, so a stolen or adopted-away unit aborts *before* its
-  /// next record lands on disk — the "not a single duplicate run" half of
-  /// the steal contract.
+  /// Synchronous loss probe: throws LeaseLostError (marking the lease lost)
+  /// unless this lease's generation is still current. The fleet loop
+  /// installs this as the campaign's pre-append hook, so a stolen or
+  /// adopted-away unit aborts *before* its next record lands on disk — the
+  /// "not a single duplicate run" half of the steal contract.
   void assert_still_mine();
 
-  /// Stops the heartbeat and unlinks the lease (no-op if lost or released).
+  /// One heartbeat: probes ownership, then refreshes the mtime of this
+  /// lease's generation. Returns false once the lease is lost. The
+  /// background thread runs exactly this every heartbeat interval.
+  bool heartbeat();
+
+  /// Stops the heartbeat and bumps the lease to `state released` (no-op if
+  /// lost or already released). Never throws: an I/O failure is recorded
+  /// in io_error() and the held generation is left to go stale.
   void release();
 
-  /// Stops the heartbeat but leaves the lease file in place: the shard is
-  /// deliberately surrendered to go stale, so any worker (this one included)
-  /// can adopt it after the TTL — and the adoption counter keeps counting
-  /// toward quarantine. This is how a worker walks away from a shard whose
-  /// execution failed permanently without crash-looping on it.
+  /// Stops the heartbeat but leaves the held generation in place: the shard
+  /// is deliberately surrendered to go stale, so any worker (this one
+  /// included) can adopt it after the TTL — and the adoption counter keeps
+  /// counting toward quarantine. This is how a worker walks away from a
+  /// shard whose execution failed permanently without crash-looping on it.
   void abandon();
 
  private:
   friend std::unique_ptr<ShardLease> claim_shard_lease(
-      const std::string& path, const std::string& worker_id,
+      const std::string& stem, const std::string& worker_id,
       std::uint64_t lease_ttl_ms, std::uint64_t heartbeat_ms,
-      std::uint64_t max_adoptions);
+      std::uint64_t max_adoptions, LeaseFs* fs);
 
-  ShardLease(std::string path, std::string worker_id, std::uint64_t ttl_ms,
-             std::uint64_t heartbeat_ms, std::uint64_t adoptions,
-             std::string carried_error, std::uint64_t epoch);
-  void beat_loop(std::uint64_t heartbeat_ms);
+  ShardLease(LeaseFs& fs, std::string stem, LeaseInfo info, bool adopted);
+  void start_beat(std::uint64_t heartbeat_ms);
   void stop_beat();
-  /// Probe helper shared by assert_still_mine and the heartbeat: true when
-  /// the lease file still carries this worker's owner id and epoch. Callers
-  /// hold content_mu_ (the lease file transiently vanishes during this
-  /// worker's own reserve_through rename window — the mutex keeps our own
-  /// probes out of it).
+  /// True while no generation above this lease's exists (and its own still
+  /// does). Callers hold mu_.
   bool still_mine_locked() const;
+  /// The lease CAS from this lease's generation; callers hold mu_.
+  bool bump_locked(const LeaseInfo& next);
 
-  std::string path_;
-  std::string worker_id_;
-  std::uint64_t adoptions_ = 0;
-  std::string error_;  ///< recorded error content (carried or own)
-  std::uint64_t epoch_ = 0;
+  LeaseFs& fs_;
+  const std::string stem_;
+  const std::string worker_id_;
+  const bool adopted_;
+  const std::uint64_t adoptions_;
+  const std::uint64_t epoch_;
   std::atomic<bool> lost_{false};
   bool released_ = false;
 
-  /// Serialises this worker's own lease-content operations (reservation
-  /// rewrites, heartbeat ownership probes, pre-append probes) so a probe
-  /// never lands inside our own rename-take window.
-  mutable std::mutex content_mu_;
-  std::size_t reserved_ = 0;  ///< unit-local indices < reserved_ may dispatch
-
+  /// Guards gen_/info_ so that a bump (create g<gen_+1>, then advance gen_)
+  /// and a probe (is there a g<gen_+1>?) never interleave within this
+  /// worker — its own pool threads reserve and probe concurrently.
   mutable std::mutex mu_;
+  std::uint64_t gen_ = 0;
+  LeaseInfo info_;            ///< content of generation gen_
+  std::size_t reserved_ = 0;  ///< unit-local indices < reserved_ may dispatch
+  std::string io_error_;
+
+  std::mutex beat_mu_;
   std::condition_variable cv_;
   bool stop_ = false;
-  std::string io_error_;
   std::thread beat_;
 };
 
-/// Claims the lease at `path` for `worker_id`: a fresh O_EXCL create if no
-/// lease exists, an adopt (rename-steal + re-create with the adoption
-/// counter incremented) if one exists but its heartbeat mtime is outside
-/// the TTL window — older than `lease_ttl_ms`, or more than `lease_ttl_ms`
-/// in the future (clock skew: nobody is refreshing that mtime either).
-/// On success returns the held lease, heartbeating every `heartbeat_ms`
-/// (0 = ttl / 4).
+/// Claims the lease at `stem` for `worker_id` by bumping its current
+/// generation: a fresh claim when it has none (generation 1) or was
+/// released, an adopt (adoption counter incremented) when it is held but
+/// its heartbeat mtime is outside the TTL window — older than
+/// `lease_ttl_ms`, or more than `lease_ttl_ms` in the future (clock skew:
+/// nobody is refreshing that mtime either). On success returns the held
+/// lease, heartbeating every `heartbeat_ms` (0 = ttl / 4). With an injected
+/// `fs` no heartbeat thread is started: the fake's clock is not the one the
+/// thread would sleep on, so the caller that injects it runs heartbeat().
 ///
 /// Throws minisc::SimError:
 ///   - kLeaseConflict (*transient*, see minisc::is_transient) when the lease
-///     is held by a live worker or another claimer won the race;
-///   - kShardQuarantined when the shard's quarantine tombstone exists, or
+///     is held by a live worker or another transition won the race;
+///   - kShardQuarantined when the current generation is quarantined, or
 ///     when this claim would adopt the shard past `max_adoptions` — in which
-///     case this claim *performs* the quarantine first: the stale lease is
-///     atomically renamed to the tombstone (exactly one winner) and the
-///     tombstone records the last owner, adoption count and last recorded
-///     error. Terminal, not retryable: the fleet loop marks the shard
-///     quarantined and moves on. max_adoptions == 0 disables quarantine.
+///     case this claim *performs* the quarantine: it bumps the lease to the
+///     terminal generation recording the last owner, adoption count and last
+///     recorded error. Terminal, not retryable: the fleet loop marks the
+///     shard quarantined and moves on. max_adoptions == 0 disables it.
 ///   - kBadConfig for empty worker ids; kIoError for I/O failures.
-std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
+std::unique_ptr<ShardLease> claim_shard_lease(const std::string& stem,
                                               const std::string& worker_id,
                                               std::uint64_t lease_ttl_ms,
                                               std::uint64_t heartbeat_ms = 0,
-                                              std::uint64_t max_adoptions = 0);
+                                              std::uint64_t max_adoptions = 0,
+                                              LeaseFs* fs = nullptr);
+
+/// The lease half of a steal (steal_shard_tail's commit): bumps the live
+/// lease at `stem` with its steal epoch incremented and its watermark
+/// pinned, and returns the committed generation. The displaced holder
+/// aborts at its next probe. Throws kLeaseConflict (transient) when the
+/// lease is missing, not held, stale (adopt it instead), carries no
+/// watermark, has nothing left below `unit_runs`, or the bump lost a race.
+LeaseInfo steal_lease(const std::string& stem, std::size_t unit_runs,
+                      std::uint64_t lease_ttl_ms,
+                      LeaseFs& fs = posix_lease_fs());
+
+/// The steal pass's straggler clock: a unit is stalled once its held
+/// lease's generation has not moved for the patience window. Every
+/// reservation and every steal bumps the generation, so an owner making
+/// progress (or a unit just split) resets the clock. A lease that is not
+/// held — released, quarantined or absent — is never stalled.
+class StallTracker {
+ public:
+  bool stalled(const std::string& stem, std::uint64_t patience_ms,
+               std::chrono::steady_clock::time_point now);
+  void forget(const std::string& stem) { seen_.erase(stem); }
+
+ private:
+  std::map<std::string,
+           std::pair<std::uint64_t, std::chrono::steady_clock::time_point>>
+      seen_;
+};
 
 /// True when the journal at `path` exists, parses, and holds a record for
 /// every one of the `runs` shard-local indices. Never throws: a missing,
@@ -339,7 +412,7 @@ struct ShardOptions {
   /// Adoption cap: a shard adopted this many times whose next claim would
   /// adopt it again is quarantined instead (see claim_shard_lease). One
   /// poison seed can therefore crash-loop the fleet at most max_adoptions
-  /// times before being tombstoned out of the claim pass. 0 = unlimited
+  /// times before being quarantined out of the claim pass. 0 = unlimited
   /// (the pre-quarantine behaviour: adopt forever).
   std::uint64_t max_adoptions = 3;
   /// Delay between claim passes once every remaining shard is leased by a
@@ -367,7 +440,8 @@ struct ShardProgress {
   std::size_t runs_executed = 0;   ///< seeds actually simulated here
   std::size_t lease_conflicts = 0; ///< claims lost to live peers (transient)
   std::size_t shards_lost = 0;     ///< own leases adopted away mid-shard
-  /// Shards observed in the quarantine terminal state (tombstone present),
+  /// Shards observed in the quarantine terminal state (current lease
+  /// generation quarantined),
   /// whether this worker performed the quarantine or merely found it.
   std::size_t shards_quarantined = 0;
   /// Shards this worker walked away from after a permanent SimError escaped
@@ -455,9 +529,9 @@ struct RepartitionResult {
   std::size_t new_count = 0;
   std::size_t migrated_records = 0;   ///< run records carried into the new tiling
   std::size_t journals_written = 0;   ///< new-layout journals created
-  std::size_t old_files_removed = 0;  ///< old-layout journals/leases/tombstones
-  std::size_t dropped_tombstones = 0; ///< quarantines not carried (re-earned)
-  std::size_t stale_leases_removed = 0;
+  std::size_t old_files_removed = 0;  ///< old-layout journals and lease files
+  std::size_t dropped_quarantines = 0;  ///< quarantines not carried (re-earned)
+  std::size_t stale_leases_removed = 0;  ///< other old-layout leases
 };
 
 /// Migrates the fleet directory to a new shard count: every record from
@@ -469,7 +543,7 @@ struct RepartitionResult {
 /// manifest-following workers (elastic or re-launched) finish the campaign
 /// under the new layout. Byte-identical duplicate records across journals
 /// (crash re-runs) deduplicate silently; differing duplicates refuse.
-/// Quarantine tombstones are dropped (reported in the result): a poison
+/// Quarantined leases are dropped (reported in the result): a poison
 /// seed re-earns its quarantine under the new layout via normal
 /// self-healing. Refuses, with a structured minisc::SimError:
 ///   - kLeaseConflict: any unit lease still live (naming the owner) —
@@ -603,10 +677,10 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
                               const MergeOptions& opts = {});
 
 /// merge_journals over the canonical shard journal filenames found in
-/// `dir`, plus quarantine awareness: a `shard_<i>_of_<N>.quarantined`
-/// tombstone refuses a strict merge (kMergeIncomplete naming the shard and
-/// suggesting allow_partial) and is listed in MergedCampaign::quarantined
-/// by a partial one. The shard count is taken from the filenames, and every
+/// `dir`, plus quarantine awareness: a unit (primary or stolen tail) whose
+/// lease is quarantined refuses a strict merge (kMergeIncomplete naming the
+/// shard and suggesting allow_partial) and is listed in
+/// MergedCampaign::quarantined by a partial one. The shard count is taken from the filenames, and every
 /// shard 0..count-1 must be present (or accounted for) unless allow_partial.
 MergedCampaign merge_shard_dir(const std::string& dir,
                                const MergeOptions& opts = {});
@@ -616,7 +690,7 @@ enum class CellState {
   kComplete,     ///< journal holds every run record
   kPartial,      ///< journal exists but records are missing (or unreadable)
   kMissing,      ///< no journal at all
-  kQuarantined,  ///< tombstone present — terminal, never going to complete
+  kQuarantined,  ///< lease quarantined — terminal, never going to complete
 };
 
 const char* to_string(CellState s);
@@ -678,15 +752,15 @@ struct ShardStatusEntry {
     kDone,         ///< journal complete
     kClaimed,      ///< live lease (heartbeat within TTL)
     kStale,        ///< lease present but heartbeat outside TTL (dead worker)
-    kQuarantined,  ///< tombstone present — terminal
+    kQuarantined,  ///< lease quarantined — terminal
     kUnclaimed,    ///< no lease, journal incomplete
   };
 
   std::size_t index = 0;
   std::string name;  ///< "shard 0/4" or "mapping/scenario"
   State state = State::kUnclaimed;
-  std::string owner;            ///< lease/tombstone owner ("" when none)
-  std::uint64_t adoptions = 0;  ///< adoption counter from the lease/tombstone
+  std::string owner;            ///< lease owner ("" when none)
+  std::uint64_t adoptions = 0;  ///< adoption counter from the lease
   /// Milliseconds since the lease heartbeat; negative = mtime in the future
   /// (clock skew). Meaningful for kClaimed/kStale only.
   std::int64_t heartbeat_age_ms = 0;

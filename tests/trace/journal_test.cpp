@@ -686,7 +686,7 @@ TEST(CampaignRetry, ErrorClassificationMatchesContract) {
                        Kind::kShardQuarantined}) {
     // kIoError deliberately included: a full disk or a dying device does
     // not get better because a retry loop hammers it. kShardQuarantined is
-    // terminal by definition — the tombstone never goes away.
+    // terminal by definition — no lease generation ever follows it.
     EXPECT_FALSE(minisc::is_transient(k)) << minisc::to_string(k);
   }
 }

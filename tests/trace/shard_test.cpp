@@ -17,7 +17,7 @@
 //     digests and old format versions with structured SimErrors;
 //   - the lease carries an adoption counter across crash generations, a
 //     shard adopted past max_adoptions is quarantined by exactly one worker
-//     (atomic rename tombstone) and excluded from every later claim pass;
+//     (a terminal lease generation) and excluded from every later claim pass;
 //   - a lease whose mtime sits in the FUTURE beyond the TTL (clock skew)
 //     is stale too — a skewed worker cannot pin a shard forever;
 //   - --allow-partial merges compact recorded runs in global seed order, so
@@ -105,17 +105,44 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
-/// Structured v2 lease content, matching the writer's line format. Tests
-/// that want a legacy raw-content lease just write_file the bare owner.
-std::string format_lease_for_test(const std::string& owner,
-                                  std::uint64_t adoptions) {
-  return "owner " + owner + "\nadoptions " + std::to_string(adoptions) + "\n";
+LeaseInfo lease_info(const std::string& owner, std::uint64_t adoptions,
+                     LeaseInfo::State state = LeaseInfo::State::kHeld,
+                     const std::string& error = "") {
+  LeaseInfo info;
+  info.state = state;
+  info.owner = owner;
+  info.adoptions = adoptions;
+  info.error = error;
+  return info;
 }
 
-/// Backdates a file's mtime far enough that any sane TTL sees it stale.
-void make_stale(const std::string& path) {
+/// Writes `info` as the next generation of the lease at `stem` (generation
+/// 1 for a new lease), standing in for another worker's bump.
+void put_lease(const std::string& stem, const LeaseInfo& info) {
+  LeaseInfo cur;
+  const std::uint64_t gen = read_lease_info(stem, &cur) ? cur.generation : 0;
+  write_file(lease_generation_path(stem, gen + 1), format_lease(info));
+}
+
+/// The current generation of the lease at `stem` (state kHeld and
+/// generation 0 when it has none).
+LeaseInfo current(const std::string& stem) {
+  LeaseInfo info;
+  read_lease_info(stem, &info);
+  return info;
+}
+
+/// Shifts the heartbeat mtime of the lease's current generation.
+void shift_mtime(const std::string& stem, std::chrono::seconds by) {
+  const std::string path = lease_generation_path(stem, current(stem).generation);
   std::filesystem::last_write_time(
-      path, std::filesystem::last_write_time(path) - std::chrono::hours(1));
+      path, std::filesystem::last_write_time(path) + by);
+}
+
+/// Backdates the current generation far enough that any sane TTL sees it
+/// stale.
+void make_stale(const std::string& stem) {
+  shift_mtime(stem, -std::chrono::hours(1));
 }
 
 // ---- shard_range ----------------------------------------------------------
@@ -148,7 +175,7 @@ TEST(ShardRange, OutOfRangeShardIsRefused) {
 
 // ---- lease protocol -------------------------------------------------------
 
-TEST(ShardLease, FreshClaimWritesTheWorkerIdAndReleaseUnlinks) {
+TEST(ShardLease, FreshClaimWritesTheWorkerIdAndReleaseEndsTheHold) {
   ScratchDir dir("fresh");
   const std::string path = shard_lease_path(dir.str(), 0, 2);
   auto lease = claim_shard_lease(path, "alice", 10000);
@@ -156,11 +183,15 @@ TEST(ShardLease, FreshClaimWritesTheWorkerIdAndReleaseUnlinks) {
   EXPECT_FALSE(lease->lost());
   LeaseInfo info;
   ASSERT_TRUE(read_lease_info(path, &info));
+  EXPECT_EQ(info.state, LeaseInfo::State::kHeld);
+  EXPECT_EQ(info.generation, 1u);
   EXPECT_EQ(info.owner, "alice");
   EXPECT_EQ(info.adoptions, 0u);
   EXPECT_TRUE(info.error.empty());
   lease->release();
-  EXPECT_FALSE(std::filesystem::exists(path));
+  ASSERT_TRUE(read_lease_info(path, &info));
+  EXPECT_EQ(info.state, LeaseInfo::State::kReleased);
+  EXPECT_EQ(info.generation, 2u);
   // The shard is claimable again after a release.
   auto again = claim_shard_lease(path, "bob", 10000);
   EXPECT_FALSE(again->adopted());
@@ -194,27 +225,28 @@ TEST(ShardLease, FreshLeaseOfADeadlessWorkerIsNotAdoptable) {
   const std::string path = shard_lease_path(dir.str(), 0, 1);
   // A lease file with a current mtime and no live process behind it is
   // indistinguishable from a just-started worker: it must NOT be adopted.
-  write_file(path, "maybe-alive");
+  put_lease(path, lease_info("maybe-alive", 0));
   EXPECT_THROW(claim_shard_lease(path, "bob", 10000), SimError);
-  EXPECT_EQ(read_file(path), "maybe-alive");
+  EXPECT_EQ(current(path).generation, 1u);
+  EXPECT_EQ(current(path).owner, "maybe-alive");
 }
 
 TEST(ShardLease, StaleLeaseIsAdopted) {
   ScratchDir dir("stale");
   const std::string path = shard_lease_path(dir.str(), 0, 1);
-  write_file(path, "dead-worker");
+  put_lease(path, lease_info("dead-worker", 0));
   make_stale(path);
   auto lease = claim_shard_lease(path, "survivor", 10000);
   EXPECT_TRUE(lease->adopted());
   LeaseInfo info;
   ASSERT_TRUE(read_lease_info(path, &info));
   EXPECT_EQ(info.owner, "survivor");
-  // The raw legacy lease counts as generation zero; adoption makes one.
+  // The dead worker's lease had never been adopted; adoption makes one.
   EXPECT_EQ(info.adoptions, 1u);
   EXPECT_EQ(lease->adoptions(), 1u);
-  // No adoption tombstone left behind.
+  // Nothing but generations of this lease left behind.
   for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
-    EXPECT_EQ(e.path().string(), path);
+    EXPECT_EQ(e.path().string().rfind(path + ".g", 0), 0u) << e.path();
   }
 }
 
@@ -223,8 +255,8 @@ TEST(ShardLease, TakenOverLeaseIsObservedLostAndLeftToTheAdopter) {
   const std::string path = shard_lease_path(dir.str(), 0, 1);
   // Tight heartbeat so the probe notices quickly.
   auto lease = claim_shard_lease(path, "victim", 10000, /*heartbeat_ms=*/20);
-  // Simulate the adopter's rename+re-create: the file now names it.
-  write_file(path, "adopter");
+  // Simulate the adopter's bump: a newer generation names it.
+  put_lease(path, lease_info("adopter", 1));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!lease->lost() && std::chrono::steady_clock::now() < deadline) {
@@ -232,24 +264,23 @@ TEST(ShardLease, TakenOverLeaseIsObservedLostAndLeftToTheAdopter) {
   }
   EXPECT_TRUE(lease->lost());
   lease->release();
-  // A lost lease belongs to the adopter: release must not unlink it.
-  EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_EQ(read_file(path), "adopter");
+  // A lost lease belongs to the adopter: release must not bump it.
+  EXPECT_EQ(current(path).generation, 2u);
+  EXPECT_EQ(current(path).owner, "adopter");
+  EXPECT_EQ(current(path).state, LeaseInfo::State::kHeld);
 }
 
 // ---- clock skew -----------------------------------------------------------
 
-/// Pushes a file's mtime into the future by `minutes`.
-void make_future(const std::string& path, int minutes) {
-  std::filesystem::last_write_time(
-      path, std::filesystem::last_write_time(path) +
-                std::chrono::minutes(minutes));
+/// Pushes the current generation's mtime into the future by `minutes`.
+void make_future(const std::string& stem, int minutes) {
+  shift_mtime(stem, std::chrono::minutes(minutes));
 }
 
 TEST(ShardLease, FutureMtimeBeyondTheTtlIsStaleToo) {
   ScratchDir dir("skew_far");
   const std::string path = shard_lease_path(dir.str(), 0, 1);
-  write_file(path, "skewed-worker");
+  put_lease(path, lease_info("skewed-worker", 0));
   // An hour in the future with a 10 s TTL: no honest heartbeat can have
   // produced this mtime, so treating it as "alive until the wall clock
   // catches up" would pin the shard for an hour. It must be adoptable NOW.
@@ -264,13 +295,13 @@ TEST(ShardLease, FutureMtimeBeyondTheTtlIsStaleToo) {
 TEST(ShardLease, FutureMtimeWithinTheTtlIsAlive) {
   ScratchDir dir("skew_near");
   const std::string path = shard_lease_path(dir.str(), 0, 1);
-  write_file(path, "slightly-ahead");
+  put_lease(path, lease_info("slightly-ahead", 0));
   // A few seconds ahead is ordinary NFS/VM clock slop around a live
   // heartbeat: within the TTL window in either direction means alive.
-  std::filesystem::last_write_time(
-      path, std::filesystem::last_write_time(path) + std::chrono::seconds(5));
+  shift_mtime(path, std::chrono::seconds(5));
   EXPECT_THROW(claim_shard_lease(path, "bob", 10000), SimError);
-  EXPECT_EQ(read_file(path), "slightly-ahead");
+  EXPECT_EQ(current(path).generation, 1u);
+  EXPECT_EQ(current(path).owner, "slightly-ahead");
 }
 
 // ---- adoption counter & quarantine ----------------------------------------
@@ -316,8 +347,8 @@ TEST(ShardLease, RecordedErrorSurvivesAdoptionIntoTheTombstone) {
   }
   make_stale(path);
   // ...and a second adoption would exceed max_adoptions: the claimer
-  // quarantines instead, and the tombstone still names the original
-  // complaint.
+  // quarantines instead, and the terminal generation still names the
+  // original complaint.
   try {
     claim_shard_lease(path, "third", 10000, 0, 1);
     FAIL() << "expected SimError(kShardQuarantined)";
@@ -327,10 +358,9 @@ TEST(ShardLease, RecordedErrorSurvivesAdoptionIntoTheTombstone) {
     EXPECT_NE(std::string(e.what()).find("storm"), std::string::npos)
         << e.what();
   }
-  EXPECT_FALSE(std::filesystem::exists(path));
-  const std::string qpath = shard_quarantine_path(dir.str(), 0, 1);
   LeaseInfo qinfo;
-  ASSERT_TRUE(read_lease_info(qpath, &qinfo));
+  ASSERT_TRUE(read_lease_info(path, &qinfo));
+  EXPECT_EQ(qinfo.state, LeaseInfo::State::kQuarantined);
   EXPECT_EQ(qinfo.owner, "second");
   EXPECT_EQ(qinfo.adoptions, 1u);
   EXPECT_EQ(qinfo.error, "deadline config rejects scenario 'storm'");
@@ -339,20 +369,19 @@ TEST(ShardLease, RecordedErrorSurvivesAdoptionIntoTheTombstone) {
 TEST(ShardLease, QuarantinedShardRefusesEveryLaterClaim) {
   ScratchDir dir("quarantined_claim");
   const std::string path = shard_lease_path(dir.str(), 0, 1);
-  write_file(path, "dead-worker");
+  put_lease(path, lease_info("dead-worker", 0));
   make_stale(path);
-  // A raw legacy lease parses as zero prior adoptions, so with
-  // max_adoptions=1 the first stale claim still adopts normally.
+  // Zero prior adoptions, so with max_adoptions=1 the first stale claim
+  // still adopts normally.
   auto lease = claim_shard_lease(path, "adopter", 10000, 0, 1);
   EXPECT_TRUE(lease->adopted());
   lease->abandon();
   make_stale(path);
   // Second stale claim hits the cap and quarantines.
   EXPECT_THROW(claim_shard_lease(path, "late", 10000, 0, 1), SimError);
-  ASSERT_TRUE(
-      std::filesystem::exists(shard_quarantine_path(dir.str(), 0, 1)));
-  // From now on EVERY claim — fresh or stale path — sees the tombstone
-  // first and reports terminal kShardQuarantined, forever.
+  ASSERT_EQ(current(path).state, LeaseInfo::State::kQuarantined);
+  // From now on EVERY claim sees the terminal generation and reports
+  // kShardQuarantined, forever.
   for (int i = 0; i < 2; ++i) {
     try {
       claim_shard_lease(path, "retrier", 10000, 0, 1);
@@ -366,13 +395,13 @@ TEST(ShardLease, QuarantinedShardRefusesEveryLaterClaim) {
 TEST(ShardLease, RacingAdoptersQuarantineExactlyOnce) {
   ScratchDir dir("race_quarantine");
   const std::string path = shard_lease_path(dir.str(), 0, 1);
-  const std::string qpath = shard_quarantine_path(dir.str(), 0, 1);
-  // Run the race several rounds: rename-based quarantine must pick exactly
-  // one winner each time, never two, never zero.
+  // Run the race several rounds: the quarantine bump must pick exactly one
+  // winner each time, never two, never zero.
   for (int round = 0; round < 10; ++round) {
-    std::filesystem::remove(path);
-    std::filesystem::remove(qpath);
-    write_file(path, format_lease_for_test("doomed", 3));
+    for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
+      std::filesystem::remove(e.path());
+    }
+    put_lease(path, lease_info("doomed", 3));
     make_stale(path);
     std::atomic<int> quarantined{0};
     std::atomic<int> adopted{0};
@@ -387,17 +416,19 @@ TEST(ShardLease, RacingAdoptersQuarantineExactlyOnce) {
         } catch (const SimError& e) {
           if (e.kind() == SimError::Kind::kShardQuarantined) ++quarantined;
           // kLeaseConflict losers are fine: they'd retry and then see the
-          // tombstone, which this loop also asserts.
+          // quarantined generation, which this loop also asserts.
         }
       });
     }
     for (auto& th : racers) th.join();
     EXPECT_EQ(adopted.load(), 0) << "round " << round;
     EXPECT_GE(quarantined.load(), 1) << "round " << round;
-    EXPECT_TRUE(std::filesystem::exists(qpath)) << "round " << round;
-    EXPECT_FALSE(std::filesystem::exists(path)) << "round " << round;
+    // The quarantine is the generation right after the doomed one, and no
+    // live generation follows it.
     LeaseInfo qinfo;
-    ASSERT_TRUE(read_lease_info(qpath, &qinfo));
+    ASSERT_TRUE(read_lease_info(path, &qinfo));
+    EXPECT_EQ(qinfo.state, LeaseInfo::State::kQuarantined) << "round " << round;
+    EXPECT_EQ(qinfo.generation, 2u) << "round " << round;
     EXPECT_EQ(qinfo.owner, "doomed");
     EXPECT_EQ(qinfo.adoptions, 3u);
   }
@@ -415,8 +446,7 @@ TEST(ShardLease, MaxAdoptionsZeroMeansUnlimited) {
     EXPECT_EQ(lease->adoptions(), gen);
     lease->abandon();
   }
-  EXPECT_FALSE(
-      std::filesystem::exists(shard_quarantine_path(dir.str(), 0, 1)));
+  EXPECT_EQ(current(path).state, LeaseInfo::State::kHeld);
 }
 
 // ---- worker loop ----------------------------------------------------------
@@ -476,7 +506,7 @@ TEST(ShardWorker, AdoptionResumesTheDeadWorkersJournalRunningOnlyMissingSeeds) {
   }
   // ...and its lease went stale.
   const std::string lease = shard_lease_path(dir.str(), 1, 2);
-  write_file(lease, "dead-worker");
+  put_lease(lease, lease_info("dead-worker", 0));
   make_stale(lease);
 
   std::mutex mu;
@@ -516,7 +546,7 @@ TEST(ShardWorker, CorruptAdoptedJournalIsHealedUnderTheExclusiveLease) {
   // pure function of its seed, so it deletes the wreck and re-runs.
   write_file(shard_journal_path(dir.str(), 1, 2), "garbage");
   const std::string lease = shard_lease_path(dir.str(), 1, 2);
-  write_file(lease, "dead-worker");
+  put_lease(lease, lease_info("dead-worker", 0));
   make_stale(lease);
 
   ShardOptions so;
@@ -737,8 +767,8 @@ TEST(ShardWorker, PermanentInfraErrorConvergesToQuarantine) {
   const ShardRange r1 = shard_range(1, 2, total);
   // Shard 1's seeds hit a host whose disk is full: every attempt raises the
   // structured infrastructure error. The worker records it on the lease,
-  // abandons, the (self-)adoption counter climbs, and the cap converts the
-  // poison shard into a tombstone instead of an infinite crash loop.
+  // abandons, the (self-)adoption counter climbs, and the cap quarantines
+  // the poison shard instead of crash-looping forever.
   const auto fn = [&](std::uint64_t seed) -> CampaignRunResult {
     if (seed >= base + r1.begin) {
       throw SimError(SimError::Kind::kIoError,
@@ -763,17 +793,14 @@ TEST(ShardWorker, PermanentInfraErrorConvergesToQuarantine) {
   // Initial claim plus max_adoptions crash generations, all abandoned.
   EXPECT_EQ(p.shards_abandoned, 3u);
 
-  const std::string qpath = shard_quarantine_path(dir.str(), 1, 2);
-  ASSERT_TRUE(std::filesystem::exists(qpath));
-  EXPECT_FALSE(
-      std::filesystem::exists(shard_lease_path(dir.str(), 1, 2)));
   LeaseInfo qinfo;
-  ASSERT_TRUE(read_lease_info(qpath, &qinfo));
+  ASSERT_TRUE(read_lease_info(shard_lease_path(dir.str(), 1, 2), &qinfo));
+  EXPECT_EQ(qinfo.state, LeaseInfo::State::kQuarantined);
   EXPECT_EQ(qinfo.adoptions, 2u);
   EXPECT_NE(qinfo.error.find("No space left on device"), std::string::npos)
       << qinfo.error;
 
-  // Strict merge refuses the tombstone by name, pointing at the escape
+  // Strict merge refuses the quarantine by name, pointing at the escape
   // hatch; --allow-partial yields the explicitly degraded campaign.
   try {
     merge_shard_dir(dir.str());
@@ -858,11 +885,11 @@ TEST(ShardMerge, QuarantineTombstoneDegradesEvenWithAFullJournal) {
   build_fleet(dir.str(), 0, total);
   // The shard was quarantined AFTER journaling everything (e.g. the fatal
   // error hit on the final fsync). Every record is salvageable, but the
-  // campaign must still present as degraded: a tombstone is a statement
+  // campaign must still present as degraded: a quarantine is a statement
   // that this fleet needed intervention, not a detail to launder away.
-  write_file(shard_quarantine_path(dir.str(), 1, 2),
-             format_lease_for_test("doomed", 3) +
-                 "error device reported EIO\nquarantined-by ci-worker\n");
+  put_lease(shard_lease_path(dir.str(), 1, 2),
+            lease_info("doomed", 3, LeaseInfo::State::kQuarantined,
+                       "device reported EIO"));
   MergeOptions mo;
   mo.allow_partial = true;
   const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
@@ -1079,10 +1106,10 @@ TEST(ShardRepartition, LiveLeaseRefusesNamingTheOwner) {
 TEST(ShardRepartition, QuarantineTombstonesAreDroppedForReearning) {
   ScratchDir dir("repart_tomb");
   build_fleet(dir.str(), 0, 10);
-  write_file(shard_quarantine_path(dir.str(), 1, 2),
-             format_lease_for_test("victim", 3));
+  put_lease(shard_lease_path(dir.str(), 1, 2),
+            lease_info("victim", 3, LeaseInfo::State::kQuarantined));
   const RepartitionResult r = repartition_fleet(dir.str(), 3);
-  EXPECT_EQ(r.dropped_tombstones, 1u);
+  EXPECT_EQ(r.dropped_quarantines, 1u);
   // All 10 records existed, so the re-tiled fleet is already complete and
   // merges cleanly — the quarantine does not survive the new layout.
   const MergedCampaign merged = merge_shard_dir(dir.str());
@@ -1263,8 +1290,8 @@ TEST(ShardSteal, SplitsALiveUnitAtTheWatermarkAndMergesByteIdentically) {
   // abort: the stolen tail belongs to the thief now.
   EXPECT_THROW(victim->assert_still_mine(), LeaseLostError);
   EXPECT_TRUE(victim->lost());
-  victim->release();  // lost: leaves the lease file to its new incarnation
-  ASSERT_TRUE(std::filesystem::exists(lease_path));
+  victim->release();  // lost: leaves the lease to the steal's generation
+  ASSERT_EQ(current(lease_path).state, LeaseInfo::State::kHeld);
   make_stale(lease_path);
 
   // A survivor adopts the truncated parent ([0,8)) and claims the child
@@ -1369,13 +1396,41 @@ TEST(ShardSteal, StolenUnitsSkewedVictimLeaseIsAdoptedExactlyOnce) {
   // Deterministic (un-raced) adoption of the same skewed post-steal lease
   // carries the steal epoch, so the child-journal partition stays pinned
   // across the ownership change.
-  write_file(lease_path,
-             "owner victim\nadoptions 0\nepoch 1\nsplit_at 8\n");
+  LeaseInfo stolen = lease_info("victim", 0);
+  stolen.epoch = 1;
+  stolen.split_at = 8;
+  put_lease(lease_path, stolen);
   make_future(lease_path, 60);
   auto adopter = claim_shard_lease(lease_path, "adopter", 10000);
   EXPECT_TRUE(adopter->adopted());
   EXPECT_EQ(adopter->epoch(), 1u);
   adopter->release();
+}
+
+TEST(ShardSteal, ReleasedLeaseIsNeverCountedAsStalled) {
+  ScratchDir dir("stall_clock");
+  const std::string stem = shard_lease_path(dir.str(), 0, 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto at = [t0](int ms) { return t0 + std::chrono::milliseconds(ms); };
+  StallTracker stalls;
+  // A held lease whose generation does not move is stalled once the
+  // patience window has passed...
+  auto lease = claim_shard_lease(stem, "owner", 10000);
+  EXPECT_FALSE(stalls.stalled(stem, 100, at(0)));
+  EXPECT_TRUE(stalls.stalled(stem, 100, at(100)));
+  // ...a bump (here a reservation) restarts its clock...
+  lease->reserve_through(0, 10);
+  EXPECT_FALSE(stalls.stalled(stem, 100, at(200)));
+  EXPECT_TRUE(stalls.stalled(stem, 100, at(300)));
+  // ...and a released lease is claimable, never stalled, however long its
+  // generation sits still. Neither is a lease that does not exist.
+  lease->release();
+  for (const int ms : {400, 500, 60000}) {
+    EXPECT_FALSE(stalls.stalled(stem, 100, at(ms))) << ms;
+  }
+  const std::string absent = shard_lease_path(dir.str(), 1, 2);
+  EXPECT_FALSE(stalls.stalled(absent, 100, at(0)));
+  EXPECT_FALSE(stalls.stalled(absent, 100, at(60000)));
 }
 
 TEST(ShardSteal, WorkerStealPassSplitsAFrozenStragglerEndToEnd) {
@@ -1467,10 +1522,10 @@ TEST(ShardMerge, EveryMissingShardIsListedInOneMessage) {
 TEST(ShardMerge, EveryQuarantinedUnitIsListedInOneMessage) {
   ScratchDir dir("quarantine_many");
   build_fleet(dir.str(), 0, 10);
-  write_file(shard_quarantine_path(dir.str(), 0, 2),
-             format_lease_for_test("w0", 3));
-  write_file(shard_quarantine_path(dir.str(), 1, 2),
-             format_lease_for_test("w1", 3));
+  put_lease(shard_lease_path(dir.str(), 0, 2),
+            lease_info("w0", 3, LeaseInfo::State::kQuarantined));
+  put_lease(shard_lease_path(dir.str(), 1, 2),
+            lease_info("w1", 3, LeaseInfo::State::kQuarantined));
   try {
     merge_shard_dir(dir.str());
     FAIL() << "expected SimError(kMergeIncomplete)";

@@ -136,6 +136,24 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
+/// Writes a lease generation after the current one of `stem`, standing in
+/// for another worker's bump; returns the file written.
+std::string put_lease(const std::string& stem, const std::string& owner,
+                      std::uint64_t adoptions,
+                      LeaseInfo::State state = LeaseInfo::State::kHeld,
+                      const std::string& error = "") {
+  LeaseInfo info;
+  const std::uint64_t gen = read_lease_info(stem, &info) ? info.generation : 0;
+  info = LeaseInfo{};
+  info.state = state;
+  info.owner = owner;
+  info.adoptions = adoptions;
+  info.error = error;
+  const std::string path = lease_generation_path(stem, gen + 1);
+  write_file(path, format_lease(info));
+  return path;
+}
+
 void make_stale(const std::string& path) {
   std::filesystem::last_write_time(
       path, std::filesystem::last_write_time(path) - std::chrono::hours(1));
@@ -277,9 +295,8 @@ TEST(SweepShard, AdoptionResumesAPartiallyJournaledCell) {
     w.append(0, synth_run(base, salt));
     w.append(1, synth_run(base + 1, salt));
   }
-  const std::string lease = cell_lease_path(dir.str(), cell, cells);
-  write_file(lease, "dead-worker");
-  make_stale(lease);
+  make_stale(put_lease(cell_lease_path(dir.str(), cell, cells),
+                       "dead-worker", 0));
 
   std::mutex mu;
   std::set<std::tuple<std::string, std::string, std::uint64_t>> executed;
@@ -318,11 +335,11 @@ TEST(SweepShard, QuarantinedCellIsSkippedAndTheMergeDegradesExplicitly) {
   const std::size_t cells = 6;
   const std::size_t poison = 5;  // split/storm in grid order
 
-  // The cell was quarantined by an earlier fleet generation: tombstone on
-  // disk before this worker starts. It must never claim the cell.
-  write_file(cell_quarantine_path(dir.str(), poison, cells),
-             "owner crashed-worker\nadoptions 3\n"
-             "error SIGKILL during run\nquarantined-by w0.pid123\n");
+  // The cell was quarantined by an earlier fleet generation: terminal lease
+  // on disk before this worker starts. It must never claim the cell.
+  const std::string poison_lease = cell_lease_path(dir.str(), poison, cells);
+  put_lease(poison_lease, "crashed-worker", 3,
+            LeaseInfo::State::kQuarantined, "SIGKILL during run");
   const ShardProgress p =
       run_sharded_sweep(grid_mappings(), grid_scenarios(), synth_factory(),
                         base, n, sweep_shard(dir.str(), 0, "careful"));
@@ -330,10 +347,12 @@ TEST(SweepShard, QuarantinedCellIsSkippedAndTheMergeDegradesExplicitly) {
   EXPECT_FALSE(p.campaign_complete);
   EXPECT_EQ(p.shards_run, 5u);
   EXPECT_EQ(p.shards_quarantined, 1u);
-  EXPECT_FALSE(
-      std::filesystem::exists(cell_lease_path(dir.str(), poison, cells)));
+  LeaseInfo info;
+  ASSERT_TRUE(read_lease_info(poison_lease, &info));
+  EXPECT_EQ(info.generation, 1u);  // never bumped by this worker
+  EXPECT_EQ(info.state, LeaseInfo::State::kQuarantined);
 
-  // Strict merge refuses the tombstone by name.
+  // Strict merge refuses the quarantined cell by name.
   try {
     merge_sweep_dir(dir.str());
     FAIL() << "expected SimError(kMergeIncomplete)";
@@ -385,8 +404,8 @@ TEST(SweepShard, PartialSweepMergeIsByteStableAcrossThreads) {
     // Lose one cell's journal entirely and quarantine another: the
     // degraded report must still be deterministic for any thread count.
     std::filesystem::remove(cell_journal_path(dir.str(), 2, 6));
-    write_file(cell_quarantine_path(dir.str(), 4, 6),
-               "owner doomed\nadoptions 3\nerror disk on fire\n");
+    put_lease(cell_lease_path(dir.str(), 4, 6), "doomed", 3,
+              LeaseInfo::State::kQuarantined, "disk on fire");
     MergeOptions mo;
     mo.allow_partial = true;
     const MergedSweep merged = merge_sweep_dir(dir.str(), mo);
@@ -420,14 +439,13 @@ TEST(SweepShard, StatusClassifiesEveryCellStateWithoutWriting) {
   // Sculpt one cell into each non-done state.
   std::filesystem::remove(cell_journal_path(dir.str(), 1, cells));  // unclaimed
   std::filesystem::remove(cell_journal_path(dir.str(), 2, cells));
-  write_file(cell_lease_path(dir.str(), 2, cells),
-             "owner live-worker\nadoptions 0\n");          // claimed (fresh)
+  put_lease(cell_lease_path(dir.str(), 2, cells), "live-worker",
+            0);                                            // claimed (fresh)
   std::filesystem::remove(cell_journal_path(dir.str(), 3, cells));
-  const std::string stale_lease = cell_lease_path(dir.str(), 3, cells);
-  write_file(stale_lease, "owner dead-worker\nadoptions 1\n");
-  make_stale(stale_lease);                                 // stale
-  write_file(cell_quarantine_path(dir.str(), 4, cells),
-             "owner doomed\nadoptions 3\nerror poison cell\n");  // quarantined
+  make_stale(put_lease(cell_lease_path(dir.str(), 3, cells), "dead-worker",
+                       1));                                // stale
+  put_lease(cell_lease_path(dir.str(), 4, cells), "doomed", 3,
+            LeaseInfo::State::kQuarantined, "poison cell");  // quarantined
 
   const auto list_dir = [&] {
     std::set<std::string> names;
@@ -483,8 +501,8 @@ TEST(SweepShard, FutureHeartbeatRendersAsClockSkewInStatus) {
                         base, n, sweep_shard(dir.str(), 0, "builder"));
   ASSERT_TRUE(p.campaign_complete);
   std::filesystem::remove(cell_journal_path(dir.str(), 0, 6));
-  const std::string lease = cell_lease_path(dir.str(), 0, 6);
-  write_file(lease, "owner skewed\nadoptions 0\n");
+  const std::string lease =
+      put_lease(cell_lease_path(dir.str(), 0, 6), "skewed", 0);
   std::filesystem::last_write_time(
       lease,
       std::filesystem::last_write_time(lease) + std::chrono::hours(1));
