@@ -75,6 +75,9 @@
 //   --poison-cell m/s  fault-injection for the fleet itself: any worker
 //     that executes a run of cell m/s raises SIGKILL — the crash-loop
 //     scenario the quarantine machinery exists for (CI uses this).
+//
+//   The fleet flags and their runners are shared with
+//   ablation_fault_resilience (bench/fleet_cli.hpp).
 
 #include <csignal>
 #include <unistd.h>
@@ -97,8 +100,9 @@
 #include "fault/injector.hpp"
 #include "kernel/error.hpp"
 #include "trace/campaign.hpp"
-#include "trace/shard.hpp"
 #include "trace/smc.hpp"
+
+#include "fleet_cli.hpp"
 
 namespace {
 
@@ -300,29 +304,13 @@ RunOptions scenario_options(const std::string& name, bool split_cpu) {
 sctrace::CampaignOptions g_campaign_opts;
 bool g_journal = false;
 
-// Fleet mode over the burst campaign: --shard i/N workers share
-// g_shard_dir; --merge folds its journals back into the burst CSV.
-bool g_shard = false;
-bool g_merge = false;
-std::size_t g_shard_index = 0;
-std::size_t g_shard_count = 1;
-std::string g_shard_dir;
-bool g_shard_dir_given = false;
-std::uint64_t g_lease_ttl_ms = 10000;
-/// --steal MS: a drained worker splits a live unit stalled for MS ms.
-std::uint64_t g_steal_after_ms = 0;
-/// --repartition N: migrate the burst fleet layout to N shards and exit.
-std::size_t g_repartition = 0;
-
-// Sweep fleet mode: grid cells as lease-claimable units in g_sweep_dir.
-bool g_sweep_shard = false;
+/// Fleet mode (bench/fleet_cli.hpp): the burst campaign as a campaign
+/// fleet in --shard-dir, the mapping x scenario grid as a sweep fleet in
+/// --sweep-dir (--sweep-shard / --sweep-merge / --sweep-status).
+fleet_cli::Flags g_fleet;
+std::string g_sweep_dir;
 bool g_sweep_merge = false;
 bool g_sweep_status = false;
-bool g_allow_partial = false;
-std::size_t g_sweep_index = 0;
-std::size_t g_sweep_count = 1;
-std::string g_sweep_dir;
-std::uint64_t g_max_adoptions = 3;
 /// "mapping/scenario" whose runs SIGKILL the executing worker ("" = none):
 /// the deliberate poison cell for the quarantine crash-loop CI gate.
 std::string g_poison_cell;
@@ -375,21 +363,12 @@ std::size_t scaled(std::size_t n, int pct) {
 
 // ---- sweep fleet mode ------------------------------------------------------
 
-const std::vector<std::string>& sweep_mappings() {
-  static const std::vector<std::string> v = {"shared_cpu", "split_cpu"};
-  return v;
-}
-
-const std::vector<std::string>& sweep_scenarios() {
-  static const std::vector<std::string> v = {"iid", "burst", "storm"};
-  return v;
-}
-
-/// The same factory the in-process CampaignSweep uses, plus the poison-cell
-/// hook: a worker told to poison "m/s" SIGKILLs itself the moment it
-/// executes a run of that cell — no cleanup, no journal close, exactly the
-/// crash a dying host produces. The fleet must heal around it: survivors
-/// adopt the cell, die the same way, and the adoption counter quarantines it.
+/// The mapping x scenario cell factory of the sweep, plus the poison-cell
+/// hook (fleet workers only): a worker told to poison "m/s" SIGKILLs itself
+/// the moment it executes a run of that cell — no cleanup, no journal
+/// close, exactly the crash a dying host produces. The fleet must heal
+/// around it: survivors adopt the cell, die the same way, and the adoption
+/// counter quarantines it.
 sctrace::CampaignSweep::Factory sweep_factory() {
   return [](const std::string& mapping, const std::string& scenario) {
     const RunOptions opt = scenario_options(scenario, mapping == "split_cpu");
@@ -400,56 +379,6 @@ sctrace::CampaignSweep::Factory sweep_factory() {
       return run_stream(s, opt);
     };
   };
-}
-
-int run_sweep_worker(std::size_t n_sweep, std::uint64_t seed) {
-  sctrace::CampaignOptions co = g_campaign_opts;
-  co.journal_tag = "correlated-sweep";
-  sctrace::ShardOptions so;
-  so.dir = g_sweep_dir;
-  so.shard_index = g_sweep_index;
-  so.shard_count = g_sweep_count;
-  so.lease_ttl_ms = g_lease_ttl_ms;
-  so.max_adoptions = g_max_adoptions;
-  std::printf("sweep worker %zu/%zu over %zux%zu cells x %zu runs, dir %s\n",
-              g_sweep_index, g_sweep_count, sweep_mappings().size(),
-              sweep_scenarios().size(), n_sweep, g_sweep_dir.c_str());
-  const sctrace::ShardProgress p = sctrace::run_sharded_sweep(
-      sweep_mappings(), sweep_scenarios(), sweep_factory(), seed, n_sweep, so,
-      co);
-  std::printf(
-      "sweep worker %zu/%zu: %zu cells run, adopted %zu, %zu runs executed, "
-      "%zu lease conflicts, %zu cells lost, %zu abandoned, %zu quarantined, "
-      "sweep %s\n",
-      g_sweep_index, g_sweep_count, p.shards_run, p.shards_adopted,
-      p.runs_executed, p.lease_conflicts, p.shards_lost, p.shards_abandoned,
-      p.shards_quarantined,
-      p.campaign_complete ? "complete"
-                          : (p.fleet_done ? "done (degraded)" : "incomplete"));
-  return 0;
-}
-
-int run_sweep_merge() {
-  sctrace::MergeOptions mo;
-  mo.allow_partial = g_allow_partial;
-  try {
-    const sctrace::MergedSweep merged = sctrace::merge_sweep_dir(g_sweep_dir, mo);
-    std::printf("merged sweep: %zu of %zu cells complete\n",
-                merged.complete_cells(), merged.cells.size());
-    std::ostringstream grid;
-    merged.print(grid);
-    std::fputs(grid.str().c_str(), stdout);
-    std::ofstream csv(out_path("fault_correlated_sweep.csv"));
-    merged.write_csv(csv);
-    std::printf("  per-cell rows -> %s\n",
-                out_path("fault_correlated_sweep.csv").c_str());
-    // 3 = degraded-but-emitted, distinct from both success and refusal so
-    // scripts can tell "publishable" from "salvaged" without parsing output.
-    return merged.complete ? 0 : 3;
-  } catch (const minisc::SimError& e) {
-    std::printf("MERGE REFUSED: %s\n", e.what());
-    return 1;
-  }
 }
 
 // ---- sequential model checking mode ----------------------------------------
@@ -624,20 +553,6 @@ int run_smc(int pct, std::uint64_t seed) {
   return 0;
 }
 
-int run_sweep_status() {
-  try {
-    const sctrace::FleetStatus st =
-        sctrace::sweep_fleet_status(g_sweep_dir, g_lease_ttl_ms);
-    std::ostringstream os;
-    sctrace::print_fleet_status(os, st);
-    std::fputs(os.str().c_str(), stdout);
-    return st.fleet_done() ? 0 : 1;
-  } catch (const minisc::SimError& e) {
-    std::printf("%s\n", e.what());
-    return 1;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -646,6 +561,9 @@ int main(int argc, char** argv) {
   }
   int pct = 100;
   for (int i = 1; i < argc; ++i) {
+    const int fleet = fleet_cli::parse(argc, argv, &i, &g_fleet, true);
+    if (fleet < 0) return 1;
+    if (fleet > 0) continue;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       g_campaign_opts.threads =
           static_cast<std::size_t>(std::atoi(argv[++i]));
@@ -654,48 +572,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       g_journal = true;  // --resume implies journalling
       g_campaign_opts.resume = true;
-    } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      if (std::sscanf(argv[++i], "%zu/%zu", &g_shard_index, &g_shard_count) !=
-              2 ||
-          g_shard_count == 0 || g_shard_index >= g_shard_count) {
-        std::printf("bad --shard '%s' (want i/N with i < N)\n", argv[i]);
-        return 1;
-      }
-      g_shard = true;
-    } else if (std::strcmp(argv[i], "--shard-dir") == 0 && i + 1 < argc) {
-      g_shard_dir = argv[++i];
-      g_shard_dir_given = true;
-    } else if (std::strcmp(argv[i], "--steal") == 0 && i + 1 < argc) {
-      g_steal_after_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--repartition") == 0 && i + 1 < argc) {
-      g_repartition = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (g_repartition == 0) {
-        std::printf("bad --repartition '%s' (want a shard count >= 1)\n",
-                    argv[i]);
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--lease-ttl-ms") == 0 && i + 1 < argc) {
-      g_lease_ttl_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--merge") == 0) {
-      g_merge = true;
-    } else if (std::strcmp(argv[i], "--sweep-shard") == 0 && i + 1 < argc) {
-      if (std::sscanf(argv[++i], "%zu/%zu", &g_sweep_index, &g_sweep_count) !=
-              2 ||
-          g_sweep_count == 0 || g_sweep_index >= g_sweep_count) {
-        std::printf("bad --sweep-shard '%s' (want i/N with i < N)\n", argv[i]);
-        return 1;
-      }
-      g_sweep_shard = true;
     } else if (std::strcmp(argv[i], "--sweep-dir") == 0 && i + 1 < argc) {
       g_sweep_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--sweep-merge") == 0) {
       g_sweep_merge = true;
     } else if (std::strcmp(argv[i], "--sweep-status") == 0) {
       g_sweep_status = true;
-    } else if (std::strcmp(argv[i], "--allow-partial") == 0) {
-      g_allow_partial = true;
-    } else if (std::strcmp(argv[i], "--max-adoptions") == 0 && i + 1 < argc) {
-      g_max_adoptions = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--poison-cell") == 0 && i + 1 < argc) {
       g_poison_cell = argv[++i];
     } else if (std::strcmp(argv[i], "--smc") == 0) {
@@ -720,40 +602,14 @@ int main(int argc, char** argv) {
           "  --resume           replay completed cells/runs from journals\n"
           "                     (implies --journal)\n"
           "\n"
-          "burst-campaign fleet (one unit per shard of the burst runs):\n"
-          "  --shard i/N        run as worker i of an N-shard fleet; pins\n"
-          "                     the layout in the shared dir's\n"
-          "                     fleet.manifest\n"
-          "  --shard-dir DIR    fleet directory (default\n"
-          "                     fault_correlated_burst.shard/ next to the\n"
-          "                     binary); given ALONE it runs an elastic\n"
-          "                     worker that reads the layout from the\n"
-          "                     manifest instead of pinning one\n"
-          "  --lease-ttl-ms MS  staleness threshold for lease adoption and\n"
-          "                     stall detection (default 10000)\n"
-          "  --steal MS         after draining the claim pass, split a live\n"
-          "                     unit whose owner has made no progress for\n"
-          "                     MS ms and run its tail as a child unit\n"
-          "  --repartition N    migrate the fleet's completed work to an\n"
-          "                     N-shard layout and exit; relaunch workers\n"
-          "                     elastic afterwards\n"
-          "  --merge            fold the shard journals into the same burst\n"
-          "                     CSV an uninterrupted run writes,\n"
-          "                     byte-identically\n"
-          "\n"
-          "sweep fleet (mapping x scenario grid cells as units):\n"
-          "  --sweep-shard i/N  run as a sweep-fleet worker over the grid\n"
+          "fleets: the burst campaign as a campaign fleet (--shard,\n"
+          "--shard-dir, default fault_correlated_burst.shard/), the grid as\n"
+          "a sweep fleet:\n"
           "  --sweep-dir DIR    sweep fleet directory (default\n"
           "                     fault_correlated_sweep.shard/)\n"
-          "  --max-adoptions K  quarantine a cell after K failed adoptions\n"
-          "                     (default 3)\n"
-          "  --sweep-merge      fold cell journals into the sweep grid +\n"
-          "                     CSV; with --allow-partial an unfinished or\n"
-          "                     quarantined fleet yields a DEGRADED report\n"
-          "                     (exit 3) instead of a refusal (exit 1)\n"
+          "  --sweep-merge      fold cell journals into the sweep grid + CSV\n"
           "  --sweep-status     read-only per-cell fleet progress (exit 0\n"
           "                     once every cell is done or quarantined)\n"
-          "  --allow-partial    see --sweep-merge\n"
           "  --poison-cell m/s  SIGKILL any worker that executes a run of\n"
           "                     cell m/s (the quarantine crash-loop gate)\n"
           "\n"
@@ -762,7 +618,9 @@ int main(int argc, char** argv) {
           "                     the verdict against the fixed-N reference,\n"
           "                     record the decision journal, and demo\n"
           "                     adaptive importance sampling; --resume\n"
-          "                     replays the recorded decision\n");
+          "                     replays the recorded decision\n"
+          "\n");
+      fleet_cli::print_help(/*sweep=*/true);
       return 0;
     } else {
       pct = std::atoi(argv[i]);
@@ -771,117 +629,55 @@ int main(int argc, char** argv) {
   const bool full = pct >= 100;
   constexpr std::uint64_t kSeed = 42;
   bool ok = true;
-  if (g_shard_dir.empty()) {
-    g_shard_dir = out_path("fault_correlated_burst.shard");
+  if (g_fleet.dir.empty()) {
+    g_fleet.dir = out_path("fault_correlated_burst.shard");
   }
   if (g_sweep_dir.empty()) {
     g_sweep_dir = out_path("fault_correlated_sweep.shard");
   }
 
-  if (g_sweep_status) return run_sweep_status();
-  if (g_sweep_merge) return run_sweep_merge();
+  // Sweep-fleet modes skip the gates: the merged sweep CSV cmp against an
+  // uninterrupted run is the determinism gate, and the CI crash-loop gate
+  // kills workers here on purpose (--poison-cell).
+  fleet_cli::Sweep sweep_fleet;
+  sweep_fleet.dir = g_sweep_dir;
+  sweep_fleet.mappings = {"shared_cpu", "split_cpu"};
+  sweep_fleet.scenarios = {"iid", "burst", "storm"};
+  sweep_fleet.factory = sweep_factory();
+  sweep_fleet.base_seed = kSeed;
+  sweep_fleet.runs = scaled(25, pct);
+  sweep_fleet.opts = g_campaign_opts;
+  sweep_fleet.opts.journal_tag = "correlated-sweep";
+  sweep_fleet.csv_path = out_path("fault_correlated_sweep.csv");
+  const int sweep_rc =
+      fleet_cli::run_sweep(g_fleet, g_sweep_merge, g_sweep_status, sweep_fleet);
+  if (sweep_rc >= 0) return sweep_rc;
   if (g_smc) return run_smc(pct, kSeed);
-  if (g_sweep_shard) {
-    // Sweep-fleet worker: grid cells as lease-claimable units. Gates are
-    // skipped — the merged sweep CSV cmp against an uninterrupted run is
-    // the determinism gate, and the CI crash-loop gate kills workers here
-    // on purpose (--poison-cell).
-    return run_sweep_worker(scaled(25, pct), kSeed);
-  }
 
-  if (g_merge) {
-    // Fold the fleet's burst-campaign journals into the same CSV an
-    // uninterrupted single-process run writes, byte-identically.
-    try {
-      sctrace::MergedCampaign merged = sctrace::merge_shard_dir(g_shard_dir);
-      std::printf("merged %zu shards: %zu burst runs, base seed %llu\n",
-                  merged.shard_count, merged.runs,
-                  static_cast<unsigned long long>(merged.base_seed));
-      sctrace::FaultCampaign c(std::move(merged.results));
-      std::ofstream csv(out_path("fault_correlated_burst.csv"));
-      c.write_csv(csv);
-      std::ostringstream report;
-      c.report().print(report);
-      std::fputs(report.str().c_str(), stdout);
-      std::printf("  per-run rows -> %s\n",
-                  out_path("fault_correlated_burst.csv").c_str());
-    } catch (const minisc::SimError& e) {
-      std::printf("MERGE REFUSED: %s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
-
-  if (g_repartition != 0) {
-    // Migrate the burst fleet's completed work into a new canonical
-    // tiling; workers relaunched elastic (--shard-dir alone) pick the new
-    // layout up from the manifest.
-    try {
-      const sctrace::RepartitionResult r =
-          sctrace::repartition_fleet(g_shard_dir, g_repartition);
-      std::printf(
-          "repartitioned %zu -> %zu shards: %zu records migrated, "
-          "%zu journals written, %zu old files removed\n",
-          r.old_count, r.new_count, r.migrated_records, r.journals_written,
-          r.old_files_removed);
-    } catch (const minisc::SimError& e) {
-      std::printf("REPARTITION REFUSED: %s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
-
-  if (g_shard || g_shard_dir_given) {
-    // Worker mode: the burst campaign only, gates skipped — the merged CSV
-    // cmp against an uninterrupted run is the determinism gate here.
-    // --shard-dir without --shard is the elastic form: the fleet.manifest
-    // in the directory is the layout authority, so the worker survives a
-    // mid-campaign repartition.
-    std::size_t n_ab = scaled(150, pct);
-    std::uint64_t base_seed = kSeed;
-    const RunOptions opt = scenario_options("burst", /*split_cpu=*/false);
-    sctrace::CampaignOptions co = g_campaign_opts;
-    co.journal_tag = "burst";
-    co.scenario_digest = scfault::config_digest(opt.cfg);
-    sctrace::ShardOptions so;
-    so.dir = g_shard_dir;
-    so.lease_ttl_ms = g_lease_ttl_ms;
-    so.steal_after_ms = g_steal_after_ms;
-    if (g_shard) {
-      so.shard_index = g_shard_index;
-      so.shard_count = g_shard_count;
-      std::printf("shard worker %zu/%zu over %zu burst runs, dir %s\n",
-                  g_shard_index, g_shard_count, n_ab, g_shard_dir.c_str());
-    } else {
-      so.shard_count = 0;  // elastic: the manifest is the layout authority
-      try {
-        const sctrace::FleetManifest m =
-            sctrace::read_fleet_manifest(g_shard_dir);
-        base_seed = m.base_seed;
-        n_ab = m.total_runs;
-      } catch (const minisc::SimError& e) {
-        std::printf("ELASTIC WORKER REFUSED: %s\n", e.what());
-        return 1;
-      }
-      std::printf("elastic shard worker (manifest layout), dir %s\n",
-                  g_shard_dir.c_str());
-    }
-    try {
-      const sctrace::ShardProgress p = sctrace::run_sharded_campaign(
-          [opt](std::uint64_t s) { return run_stream(s, opt); }, base_seed,
-          n_ab, so, co);
-      std::printf(
-          "worker: %zu shards run, adopted %zu, stole %zu, %zu runs "
-          "executed, %zu lease conflicts, %zu shards lost, campaign %s\n",
-          p.shards_run, p.shards_adopted, p.shards_stolen, p.runs_executed,
-          p.lease_conflicts, p.shards_lost,
-          p.campaign_complete ? "complete" : "incomplete");
-    } catch (const minisc::SimError& e) {
-      std::printf("WORKER REFUSED: %s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
+  // The burst campaign as a campaign fleet: workers, merge, repartition.
+  const RunOptions burst_opt = scenario_options("burst", /*split_cpu=*/false);
+  fleet_cli::Campaign burst_fleet;
+  burst_fleet.dir = g_fleet.dir;
+  burst_fleet.fn = [burst_opt](std::uint64_t s) {
+    return run_stream(s, burst_opt);
+  };
+  burst_fleet.base_seed = kSeed;
+  burst_fleet.runs = scaled(150, pct);
+  burst_fleet.opts = g_campaign_opts;
+  burst_fleet.opts.journal_tag = "burst";
+  burst_fleet.opts.scenario_digest = scfault::config_digest(burst_opt.cfg);
+  burst_fleet.emit = [](const sctrace::FaultCampaign& c) {
+    std::ofstream csv(out_path("fault_correlated_burst.csv"));
+    c.write_csv(csv);
+    std::ostringstream report;
+    c.report().print(report);
+    std::fputs(report.str().c_str(), stdout);
+    std::printf("  per-run rows -> %s\n",
+                out_path("fault_correlated_burst.csv").c_str());
+  };
+  const int fleet_rc =
+      fleet_cli::run_campaigns(g_fleet, /*status=*/false, {burst_fleet});
+  if (fleet_rc >= 0) return fleet_rc;
 
   std::printf("Correlated-fault ablation, %d-frame stream, scale %d%%, "
               "%zu campaign thread(s)\n\n",
@@ -988,14 +784,10 @@ int main(int argc, char** argv) {
               storm.miss_rate * 100.0, storm.makespan_ns.mean);
 
   // -- 4. mapping x scenario sweep ------------------------------------------
-  const std::size_t n_sweep = scaled(25, pct);
-  sctrace::CampaignSweep sweep(
-      {"shared_cpu", "split_cpu"}, {"iid", "burst", "storm"},
-      [](const std::string& mapping, const std::string& scenario) {
-        const RunOptions opt =
-            scenario_options(scenario, mapping == "split_cpu");
-        return [opt](std::uint64_t s) { return run_stream(s, opt); };
-      });
+  const std::size_t n_sweep = sweep_fleet.runs;
+  g_poison_cell.clear();  // the poison hook is for fleet workers only
+  sctrace::CampaignSweep sweep(sweep_fleet.mappings, sweep_fleet.scenarios,
+                               sweep_factory());
   sctrace::CampaignOptions sweep_opts = g_campaign_opts;
   if (g_journal) {
     // One journal per grid cell, derived from this prefix; the tag inside

@@ -78,6 +78,9 @@
 //               reservation watermark and runs the stolen tail as a child
 //               unit; the displaced owner aborts before appending another
 //               record, so the merge stays byte-identical.
+//   The fleet flags and their runners are shared with
+//   ablation_fault_correlated (bench/fleet_cli.hpp); each design runs as its
+//   own fleet in <shard-dir>/<label>.
 
 #include <algorithm>
 #include <chrono>
@@ -97,8 +100,9 @@
 #include "kernel/error.hpp"
 #include "trace/campaign.hpp"
 #include "trace/journal.hpp"
-#include "trace/shard.hpp"
 #include "trace/smc.hpp"
+
+#include "fleet_cli.hpp"
 
 namespace {
 
@@ -287,27 +291,10 @@ bool g_smc = false;
 /// --scaling: emit the thread-pool scaling curve as JSON and exit.
 bool g_scaling = false;
 
-// Fleet mode: --shard i/N workers share g_shard_dir; --merge folds it back.
-// --shard-dir without --shard is an *elastic* worker: the layout (seed, run
-// count, shard count) comes from the fleet manifest, and the worker follows
-// it across a --repartition without a restart.
-bool g_shard = false;
-bool g_elastic = false;
-bool g_merge = false;
+/// Fleet mode (bench/fleet_cli.hpp): one campaign fleet per design, in
+/// <shard-dir>/<label>. --status is this bench's read-only progress view.
+fleet_cli::Flags g_fleet;
 bool g_status = false;
-bool g_allow_partial = false;
-std::size_t g_shard_index = 0;
-std::size_t g_shard_count = 1;
-std::string g_shard_dir;
-bool g_shard_dir_given = false;
-std::uint64_t g_lease_ttl_ms = 10000;
-std::uint64_t g_max_adoptions = 3;
-/// --steal MS: split a live straggler unit at its reservation watermark
-/// once this worker's claim pass has been drained for MS milliseconds
-/// (0 = stealing off).
-std::uint64_t g_steal_after_ms = 0;
-/// --repartition N: migrate the fleet directories to N shards and exit.
-std::size_t g_repartition = 0;
 
 /// CSV artifacts land next to the binary (build/bench/), not in the
 /// caller's cwd, so runs never litter the source tree.
@@ -394,123 +381,6 @@ int run_scaling(std::uint64_t base_seed, std::size_t runs) {
   return identical ? 0 : 1;
 }
 
-void run_shard_worker(const char* label, bool resilient,
-                      std::uint64_t base_seed, std::size_t n) {
-  sctrace::CampaignOptions opts = g_campaign_opts;
-  opts.journal_tag = label;
-  opts.scenario_digest = scfault::config_digest(fault_model());
-
-  sctrace::ShardOptions so;
-  so.dir = g_shard_dir + "/" + label;  // labels keep separate fleets
-  so.shard_index = g_shard_index;
-  so.shard_count = g_shard_count;
-  so.lease_ttl_ms = g_lease_ttl_ms;
-  so.max_adoptions = g_max_adoptions;
-  so.steal_after_ms = g_steal_after_ms;
-  if (g_elastic) {
-    // Directory-authoritative: the manifest pinned by the first explicit
-    // worker carries {base_seed, total_runs, shard_count}; this worker
-    // follows it — including across a live --repartition.
-    const sctrace::FleetManifest m = sctrace::read_fleet_manifest(so.dir);
-    base_seed = m.base_seed;
-    n = m.total_runs;
-    so.shard_count = 0;  // elastic mode: re-read the manifest every pass
-  }
-
-  const sctrace::ShardProgress p = sctrace::run_sharded_campaign(
-      [resilient](std::uint64_t seed) { return run_pipeline(seed, resilient); },
-      base_seed, n, so, opts);
-  std::printf(
-      "  [%s] worker %zu/%zu: %zu shards run, adopted %zu, stole %zu, "
-      "%zu runs executed, %zu lease conflicts, %zu shards lost, "
-      "%zu abandoned, %zu quarantined, campaign %s\n",
-      label, g_shard_index, g_shard_count, p.shards_run, p.shards_adopted,
-      p.shards_stolen, p.runs_executed, p.lease_conflicts, p.shards_lost,
-      p.shards_abandoned, p.shards_quarantined,
-      p.campaign_complete ? "complete"
-                          : (p.fleet_done ? "done (degraded)" : "incomplete"));
-}
-
-/// --repartition N: migrate both label fleets to N shards. Refuses while
-/// any unit lease is live; elastic workers pick the new layout up on their
-/// next claim pass, explicit-count workers are told to relaunch elastic.
-int run_repartition(std::size_t new_count) {
-  for (const char* label : {"non_resilient", "resilient"}) {
-    // A label whose fleet never started (no pinned manifest) has nothing
-    // to migrate; its first worker will pin the new layout directly.
-    try {
-      sctrace::read_fleet_manifest(g_shard_dir + "/" + label);
-    } catch (const minisc::SimError& e) {
-      if (e.kind() == minisc::SimError::Kind::kMergeIncomplete) {
-        std::printf("  [%s] no fleet pinned yet — skipped\n", label);
-        continue;
-      }
-      throw;
-    }
-    const sctrace::RepartitionResult r = sctrace::repartition_fleet(
-        g_shard_dir + "/" + label, new_count, g_lease_ttl_ms);
-    std::printf(
-        "  [%s] repartitioned %zu -> %zu shards: %zu records migrated into "
-        "%zu journals, %zu old files removed (%zu stale leases, %zu "
-        "quarantines dropped)\n",
-        label, r.old_count, r.new_count, r.migrated_records,
-        r.journals_written, r.old_files_removed, r.stale_leases_removed,
-        r.dropped_quarantines);
-  }
-  return 0;
-}
-
-/// Returns the process exit code: 0 for a complete merge, 3 for a degraded
-/// partial one (distinct so scripts can tell "publishable" from "salvaged").
-int run_merge(const char* label) {
-  sctrace::MergeOptions mo;
-  mo.allow_partial = g_allow_partial;
-  sctrace::MergedCampaign merged =
-      sctrace::merge_shard_dir(g_shard_dir + "/" + label, mo);
-  std::printf("  [%s] merged %zu shards: %zu runs, base seed %llu\n", label,
-              merged.shard_count, merged.runs,
-              static_cast<unsigned long long>(merged.base_seed));
-  if (!merged.complete) {
-    std::printf(
-        "  [%s] DEGRADED merge: %zu of %zu runs recorded (%zu missing, "
-        "%zu shards without journals, %zu quarantined)\n",
-        label, merged.recorded_runs, merged.runs, merged.missing_records,
-        merged.missing_shards.size(), merged.quarantined.size());
-    for (const sctrace::QuarantinedUnit& q : merged.quarantined) {
-      std::printf("  [%s] quarantined %s: %llu adoptions, last owner '%s'%s%s\n",
-                  label, q.name.c_str(),
-                  static_cast<unsigned long long>(q.info.adoptions),
-                  q.info.owner.c_str(),
-                  q.info.error.empty() ? "" : ", error: ",
-                  q.info.error.c_str());
-    }
-  }
-  sctrace::FaultCampaign campaign(std::move(merged.results));
-  emit_campaign(label, campaign);
-  return merged.complete ? 0 : 3;
-}
-
-/// Read-only fleet progress for both labels; exit 0 when every shard of
-/// both fleets is done or quarantined, 1 otherwise.
-int run_status() {
-  bool all_done = true;
-  for (const char* label : {"non_resilient", "resilient"}) {
-    std::printf("== %s fleet ==\n", label);
-    try {
-      const sctrace::FleetStatus st =
-          sctrace::fleet_status(g_shard_dir + "/" + label, g_lease_ttl_ms);
-      std::ostringstream os;
-      sctrace::print_fleet_status(os, st);
-      std::fputs(os.str().c_str(), stdout);
-      if (!st.fleet_done()) all_done = false;
-    } catch (const minisc::SimError& e) {
-      std::printf("  %s\n", e.what());
-      all_done = false;
-    }
-  }
-  return all_done ? 0 : 1;
-}
-
 void run_campaign(const char* label, bool resilient, std::uint64_t base_seed,
                   std::size_t n) {
   sctrace::CampaignOptions opts = g_campaign_opts;
@@ -546,6 +416,9 @@ int main(int argc, char** argv) {
     g_out_dir.assign(argv[0], static_cast<std::size_t>(slash - argv[0]) + 1);
   }
   for (int i = 1; i < argc; ++i) {
+    const int fleet = fleet_cli::parse(argc, argv, &i, &g_fleet, false);
+    if (fleet < 0) return 1;
+    if (fleet > 0) continue;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       g_campaign_opts.threads =
           static_cast<std::size_t>(std::atoi(argv[++i]));
@@ -558,36 +431,8 @@ int main(int argc, char** argv) {
       g_campaign_opts.resume = true;
     } else if (std::strcmp(argv[i], "--smc") == 0) {
       g_smc = true;
-    } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      if (std::sscanf(argv[++i], "%zu/%zu", &g_shard_index, &g_shard_count) !=
-              2 ||
-          g_shard_count == 0 || g_shard_index >= g_shard_count) {
-        std::printf("bad --shard '%s' (want i/N with i < N)\n", argv[i]);
-        return 1;
-      }
-      g_shard = true;
-    } else if (std::strcmp(argv[i], "--shard-dir") == 0 && i + 1 < argc) {
-      g_shard_dir = argv[++i];
-      g_shard_dir_given = true;
-    } else if (std::strcmp(argv[i], "--lease-ttl-ms") == 0 && i + 1 < argc) {
-      g_lease_ttl_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--steal") == 0 && i + 1 < argc) {
-      g_steal_after_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--repartition") == 0 && i + 1 < argc) {
-      g_repartition = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (g_repartition == 0) {
-        std::printf("bad --repartition '%s' (want a shard count > 0)\n",
-                    argv[i]);
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--merge") == 0) {
-      g_merge = true;
     } else if (std::strcmp(argv[i], "--status") == 0) {
       g_status = true;
-    } else if (std::strcmp(argv[i], "--allow-partial") == 0) {
-      g_allow_partial = true;
-    } else if (std::strcmp(argv[i], "--max-adoptions") == 0 && i + 1 < argc) {
-      g_max_adoptions = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--scaling") == 0) {
       g_scaling = true;
     } else if (std::strcmp(argv[i], "--help") == 0 ||
@@ -599,19 +444,7 @@ int main(int argc, char** argv) {
           "                   on {1,2,8}-worker pools; print a JSON record\n"
           "                   with num_cpus context and per-count wall-clock\n"
           "                   (speedups are null + caveat on 1-core hosts)\n"
-          "  --merge          fold shard journals back into the report/CSVs\n"
           "  --status         read-only fleet progress (exit 0 when done)\n"
-          "  --shard i/N      run as fleet worker i of N (pins the fleet\n"
-          "                   manifest; later workers must agree with it)\n"
-          "  --shard-dir DIR alone (no --shard): run as an *elastic* worker\n"
-          "                   — the layout comes from the fleet manifest and\n"
-          "                   is re-read every pass, so a --repartition\n"
-          "                   propagates without a restart\n"
-          "  --repartition N  migrate the fleet directories to N shards\n"
-          "                   (refused while any unit lease is live) and\n"
-          "                   rewrite the manifest; completed records are\n"
-          "                   re-tiled so the final merge stays byte-\n"
-          "                   identical to a single-process run\n"
           "Options:\n"
           "  --threads N      N-worker pool per campaign (byte-identity\n"
           "                   gated against the sequential run)\n"
@@ -619,92 +452,42 @@ int main(int argc, char** argv) {
           "  --journal        crash-consistent per-run journal\n"
           "  --resume         replay journal, execute only missing seeds\n"
           "  --smc            SPRT verdicts per design (demonstration)\n"
-          "  --shard-dir DIR  shared fleet directory\n"
-          "  --lease-ttl-ms MS  lease staleness threshold (default 10000)\n"
-          "  --max-adoptions K  quarantine a shard after K adoptions\n"
-          "  --steal MS       with --shard/--shard-dir: once the claim pass\n"
-          "                   has been drained for MS ms, split a live\n"
-          "                   straggler unit at its reservation watermark\n"
-          "                   and run the stolen tail (0 = off)\n"
-          "  --allow-partial  with --merge: emit DEGRADED output (exit 3)\n"
           "See the header comment of this file for full semantics.\n");
+      fleet_cli::print_help(/*sweep=*/false);
       return 0;
     }
   }
   const std::size_t kRuns = runs;
-  if (g_shard_dir.empty()) g_shard_dir = g_out_dir + "fault_resilience.shard";
+  if (g_fleet.dir.empty()) g_fleet.dir = g_out_dir + "fault_resilience.shard";
 
   if (g_scaling) {
     // Pure-JSON mode for bench artifacts: nothing else may print.
     return run_scaling(kBaseSeed, kRuns);
   }
 
-  if (g_status) {
-    // Pure observation: stat+read of the shard dir, no leases touched.
-    return run_status();
+  // Fleet modes touch no gate: a merge folds the fleet's journals back into
+  // the single-process report + CSVs (or refuses loudly), and a worker's
+  // merged output is itself the determinism gate.
+  std::vector<fleet_cli::Campaign> fleets;
+  for (const bool resilient : {false, true}) {
+    fleet_cli::Campaign c;
+    c.label = resilient ? "resilient" : "non_resilient";
+    c.dir = g_fleet.dir + "/" + c.label;  // labels keep separate fleets
+    c.fn = [resilient](std::uint64_t seed) {
+      return run_pipeline(seed, resilient);
+    };
+    c.base_seed = kBaseSeed;
+    c.runs = kRuns;
+    c.opts = g_campaign_opts;
+    c.opts.journal_tag = c.label;
+    c.opts.scenario_digest = scfault::config_digest(fault_model());
+    c.emit = [label = c.label](const sctrace::FaultCampaign& campaign) {
+      emit_campaign(label.c_str(), campaign);
+    };
+    fleets.push_back(std::move(c));
   }
-
-  if (g_merge) {
-    // Merge mode touches no simulation: fold the fleet's journals back into
-    // the single-process report + CSV, byte-identically, or refuse loudly.
-    // --allow-partial degrades instead of refusing (exit 3, marked output).
-    try {
-      const int rc_a = run_merge("non_resilient");
-      const int rc_b = run_merge("resilient");
-      return std::max(rc_a, rc_b);
-    } catch (const minisc::SimError& e) {
-      std::printf("MERGE REFUSED: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (g_repartition != 0) {
-    try {
-      return run_repartition(g_repartition);
-    } catch (const minisc::SimError& e) {
-      std::printf("REPARTITION REFUSED: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (!g_shard && g_shard_dir_given) {
-    // --shard-dir alone: elastic worker following the manifest.
-    g_elastic = true;
-    std::printf("elastic shard worker (manifest layout), dir %s, TTL %llu "
-                "ms%s\n",
-                g_shard_dir.c_str(),
-                static_cast<unsigned long long>(g_lease_ttl_ms),
-                g_steal_after_ms
-                    ? (", steal after " + std::to_string(g_steal_after_ms) +
-                       " ms")
-                          .c_str()
-                    : "");
-    try {
-      run_shard_worker("non_resilient", /*resilient=*/false, kBaseSeed, kRuns);
-      run_shard_worker("resilient", /*resilient=*/true, kBaseSeed, kRuns);
-    } catch (const minisc::SimError& e) {
-      std::printf("WORKER REFUSED: %s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
-
-  if (g_shard) {
-    // Worker mode: skip the determinism/parallel gates (the merged output
-    // is itself the determinism gate — it must cmp-equal the uninterrupted
-    // single-process CSV) and go straight to claiming shards.
-    std::printf("shard worker %zu/%zu over %zu runs, dir %s, TTL %llu ms\n",
-                g_shard_index, g_shard_count, kRuns, g_shard_dir.c_str(),
-                static_cast<unsigned long long>(g_lease_ttl_ms));
-    try {
-      run_shard_worker("non_resilient", /*resilient=*/false, kBaseSeed, kRuns);
-      run_shard_worker("resilient", /*resilient=*/true, kBaseSeed, kRuns);
-    } catch (const minisc::SimError& e) {
-      std::printf("WORKER REFUSED: %s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
+  const int fleet_rc = fleet_cli::run_campaigns(g_fleet, g_status, fleets);
+  if (fleet_rc >= 0) return fleet_rc;
 
   std::printf(
       "Fault-resilience ablation: %d-frame pipeline, %zu seeded scenarios\n"

@@ -141,19 +141,6 @@ std::unique_ptr<JournalWriter> open_journal(
     probe.close();
     if (nonempty) {
       JournalContents contents = read_journal(opts.journal_path);
-      if (contents.header.version != JournalHeader::kVersion) {
-        // Readable (read_journal parsed it) but not extendable: appending
-        // current-version records under an old header would produce a file
-        // no single version fully describes.
-        throw minisc::SimError(
-            minisc::SimError::Kind::kShardVersionMismatch,
-            "campaign journal '" + opts.journal_path + "' has format version " +
-                std::to_string(contents.header.version) +
-                " but this build appends version " +
-                std::to_string(JournalHeader::kVersion) +
-                " — old journals are read-only (read_journal); delete the "
-                "file to re-run the campaign under the current format");
-      }
       // accept_journal_superset: a stolen unit shrinks, but its journal
       // header still advertises the unit's size at creation time. The
       // header may cover a superset [0, header.runs) ⊇ [0, n) of the slots

@@ -200,7 +200,7 @@ struct CampaignOptions {
   /// host power cut — a killed *process* loses nothing).
   std::size_t journal_flush_every = 8;
 
-  // ---- shard identity (journal header v2; set by trace/shard.hpp) ----
+  // ---- shard identity (journal header; set by trace/shard.hpp) ----
   //
   // A sharded fleet campaign runs this campaign as shard `shard_index` of
   // `shard_count`, covering global run indices [shard_begin, shard_begin +
@@ -295,7 +295,7 @@ class FaultCampaign {
   explicit FaultCampaign(RunFn fn) : fn_(std::move(fn)) {}
 
   /// Builds a campaign directly from recorded results — the merge path:
-  /// sctrace::merge_journals folds shard journals into the global result
+  /// sctrace::merge_fleet folds unit journals into each cell's result
   /// vector and this constructor makes report()/write_csv() available on
   /// it, byte-identical to the single-process campaign that would have
   /// produced the same runs. run() on such a campaign throws
@@ -337,9 +337,9 @@ class FaultCampaign {
   const SmcSpec& smc_spec() const { return smc_spec_; }
 
   /// Attaches a recorded verdict to a merge-constructed campaign (the
-  /// journal decision record recovered by sctrace::merge_journals /
-  /// merge_sweep_dir), so report()/write_csv() reproduce the early-stopped
-  /// campaign's bytes exactly.
+  /// journal decision record recovered by sctrace::merge_fleet), so
+  /// report()/write_csv() reproduce the early-stopped campaign's bytes
+  /// exactly.
   void set_smc_verdict(const SmcSpec& spec, const SmcVerdict& verdict) {
     smc_spec_ = spec;
     smc_verdict_ = verdict;
@@ -431,7 +431,7 @@ class CampaignSweep {
         factory_(std::move(factory)) {}
 
   /// Builds a sweep directly from recorded cells — the fleet-merge path:
-  /// sctrace::merge_sweep_dir folds per-cell journals into Cell reports and
+  /// sctrace::merge_fleet folds per-cell journals into Cell reports and
   /// this constructor makes print()/write_csv() available on them,
   /// byte-identical to the single-process sweep that would have produced the
   /// same cells. A missing (mapping, scenario) pair renders as '-' in the

@@ -240,12 +240,12 @@ JournalContents read_journal(const std::string& path) {
         throw_corrupt(path, record, "is not the expected header record");
       }
       out.header.version = c.u32();
-      if (out.header.version < 1 || out.header.version > JournalHeader::kVersion) {
+      if (out.header.version != JournalHeader::kVersion) {
         throw SimError(
             SimError::Kind::kShardVersionMismatch,
             "campaign journal '" + path + "': format version " +
                 std::to_string(out.header.version) +
-                ", but this build reads versions 1-" +
+                ", but this build reads only version " +
                 std::to_string(JournalHeader::kVersion) +
                 " — journals from different releases refuse to mix");
       }
@@ -253,26 +253,12 @@ JournalContents read_journal(const std::string& path) {
       out.header.runs = c.u64();
       out.header.scenario_digest = c.u64();
       out.header.tag = c.str();
-      if (out.header.version >= 2) {
-        out.header.shard_index = c.u64();
-        out.header.shard_count = c.u64();
-        out.header.shard_begin = c.u64();
-        out.header.total_runs = c.u64();
-        out.header.worker_id = c.str();
-      } else {
-        // v1 compat: pre-shard journals are the whole campaign by definition.
-        out.header.shard_index = 0;
-        out.header.shard_count = 1;
-        out.header.shard_begin = 0;
-        out.header.total_runs = out.header.runs;
-        out.header.worker_id.clear();
-      }
-      if (out.header.version >= 3) {
-        out.header.steal_epoch = c.u64();
-      } else {
-        // v1/v2 compat: pre-steal journals are primaries by definition.
-        out.header.steal_epoch = 0;
-      }
+      out.header.shard_index = c.u64();
+      out.header.shard_count = c.u64();
+      out.header.shard_begin = c.u64();
+      out.header.total_runs = c.u64();
+      out.header.worker_id = c.str();
+      out.header.steal_epoch = c.u64();
       if (!c.done()) throw_corrupt(path, record, "has a malformed header");
       have_header = true;
     } else if (type == kDecisionType) {

@@ -41,33 +41,23 @@ namespace sctrace {
 /// being run — mixing runs of different fault models is how silent garbage
 /// gets into papers.
 ///
-/// Format version 2 adds the shard identity block (see trace/shard.hpp): a
-/// journal can be one shard of a fleet-scale campaign, covering the global
-/// run indices [shard_begin, shard_begin + runs) of a total_runs-run
-/// campaign split into shard_count journals. Unsharded campaigns write the
-/// degenerate identity (shard 0 of 1, begin 0, total == runs). worker_id
-/// names the process that *created* the journal — adoption of a dead
-/// worker's shard appends under the original header, so the id is
-/// provenance, not ownership (ownership lives in the lease file).
+/// The header also carries the shard identity block (see trace/shard.hpp):
+/// a journal can be one unit of a fleet-scale campaign, covering the run
+/// indices [shard_begin, shard_begin + runs) of shard shard_index of a
+/// total_runs-run campaign split into shard_count shards. Unsharded
+/// campaigns write the degenerate identity (shard 0 of 1, begin 0, total ==
+/// runs). worker_id names the process that *created* the journal — adoption
+/// of a dead worker's unit appends under the original header, so the id is
+/// provenance, not ownership (ownership lives in the lease). steal_epoch is
+/// 0 for a unit's primary journal and, for the journal of a tail stolen
+/// from a live straggler, the lease incarnation (steal epoch) that created
+/// it — provenance for operators; merge places every journal by its range.
 ///
-/// Format version 3 adds the steal epoch: when a straggler's live unit is
-/// split by a work-stealing peer (see trace/shard.hpp), the stolen tail runs
-/// under a *child* journal whose header carries the lease incarnation
-/// (steal epoch) that created it. Primary journals carry epoch 0. The epoch
-/// is provenance for operators and status tooling; merge derives each
-/// sub-unit's effective range from the set of sibling journals, not from the
-/// epoch itself.
-///
-/// Older journals remain readable — read_journal accepts versions 1 through
-/// kVersion, filling absent fields with their degenerate defaults (v1: the
-/// whole-campaign shard identity; v2: steal epoch 0) — but are read-only:
-/// resume refuses to extend them (SimError(kShardVersionMismatch) naming
-/// both versions), because appending current-era records under an old header
-/// would make the file lie about what a reader can assume of it. Merge
-/// accepts v2 alongside v3 (nothing in a v2 file is ambiguous to a v3
-/// reader); v1 files predate the shard layer entirely and stay unmergeable.
+/// Format version 3 is the only one: read_journal refuses every other
+/// version with SimError(kShardVersionMismatch) naming both versions —
+/// journals from different releases refuse to mix.
 struct JournalHeader {
-  /// The format this build writes; read_journal accepts 1 through 3.
+  /// The format this build writes and the only one read_journal accepts.
   static constexpr std::uint32_t kVersion = 3;
 
   std::uint32_t version = kVersion;
@@ -78,7 +68,7 @@ struct JournalHeader {
   /// Free-form identity tag (e.g. "mapping/scenario" for sweep cells).
   std::string tag;
 
-  // ---- v2: shard identity (degenerate defaults for unsharded campaigns) ----
+  // ---- shard identity (degenerate defaults for unsharded campaigns) -------
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
   /// Global run index of this journal's slot 0.
@@ -88,7 +78,7 @@ struct JournalHeader {
   /// Free-form id of the worker process that created the journal.
   std::string worker_id;
 
-  // ---- v3: work stealing ---------------------------------------------------
+  // ---- work stealing ------------------------------------------------------
   /// Lease incarnation that created this journal: 0 for a unit's primary
   /// journal, >0 for a child journal created by stealing the tail of a live
   /// unit (the value is the post-steal epoch of the victim's lease).

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,18 +20,22 @@
 
 namespace sctrace {
 
-/// Sharded fleet-scale campaigns over a shared journal directory.
+/// Fleet-scale campaigns and sweeps over a shared journal directory.
 ///
-/// One campaign of `total_runs` seeds is split into `shard_count` contiguous
-/// chunks; N independent *worker processes* — different PIDs, potentially
-/// different machines on a shared filesystem — each claim disjoint shards,
-/// run them through the ordinary FaultCampaign journal machinery, and a
-/// final merge step folds the shard journals back into the byte-identical
-/// single-process report()/write_csv() output. A CampaignSweep grid — the
-/// paper's mapping×scenario design-space exploration — fleets the same way
-/// with grid *cells* as the work units (run_sharded_sweep): one lease and
-/// one journal per cell, a manifest pinning the grid, and merge_sweep_dir
-/// folding the cells back into the byte-identical sweep output.
+/// One unit model serves every fleet. A fleet directory pins one manifest
+/// (`<dir>/fleet.manifest`: base seed, runs per cell, shard count, digest,
+/// tag, and the mapping x scenario grid — empty for a campaign fleet, which
+/// is the one-cell case). Each cell's runs are tiled into `shard_count`
+/// canonical shards (a sweep pins one shard per cell), and every work unit
+/// is one `Unit{cell, run range within the cell, parent shard}`; a tail
+/// stolen from a live straggler is just another unit of its shard. Every
+/// unit owns one journal and one lease named by unit_stem(), and
+/// fleet_units() recovers the whole partition from the manifest plus one
+/// directory listing. Independent *worker processes* — different PIDs,
+/// potentially different machines on a shared filesystem — claim disjoint
+/// units and run them through the ordinary FaultCampaign journal machinery;
+/// merge_fleet() folds every unit journal back into its cell,
+/// byte-identical to the single-process FaultCampaign / CampaignSweep.
 ///
 /// Coordination is filesystem-only, built from ONE compare-and-swap: every
 /// unit's lease is a sequence of immutable generation files
@@ -44,65 +49,36 @@ namespace sctrace {
 /// of a unit is never unlinked (a creator of N+1 may unlink N-1).
 ///
 /// A held lease is heartbeaten by refreshing its generation's mtime from a
-/// background thread. The TTL contract: a worker whose heartbeat stays
-/// fresher than `lease_ttl_ms` owns its shard exclusively; a worker paused
-/// for longer (SIGSTOP, VM freeze) may be adopted away and must treat its
-/// shard as lost — the heartbeat thread detects the takeover (a newer
-/// generation exists) and the next run raises LeaseLostError, which aborts
-/// the shard instead of recording anything further. A heartbeat mtime in
-/// the *future* beyond the TTL (restored snapshot, clock skew) is treated as
-/// stale too — a lease no live worker is refreshing must never become
-/// unadoptable just because a clock once lied forward.
+/// background thread. A worker whose heartbeat stays fresher than
+/// `lease_ttl_ms` owns its unit exclusively; a worker paused for longer
+/// (SIGSTOP, VM freeze) may be adopted away, and its next run raises
+/// LeaseLostError instead of recording anything further. A heartbeat mtime
+/// in the *future* beyond the TTL (restored snapshot, clock skew) is stale
+/// too — no live worker is refreshing it either.
 ///
-/// Self-healing: adoption alone cannot save a fleet from a *poison* shard —
-/// a seed that crashes every process that touches it, a full disk, a wedged
-/// host — because each adopter dies in turn and the fleet crash-loops
-/// forever. The lease therefore carries an adoption counter; a claim that
-/// would adopt a shard past `max_adoptions` instead *quarantines* it: it
-/// bumps the lease to a terminal `state quarantined` generation recording
-/// the last owner, the adoption count and the last recorded SimError. No
-/// generation ever follows a quarantined one. Quarantine is a first-class
-/// terminal state, not an error — workers skip quarantined shards, the
-/// fleet converges on everything else, `--allow-partial` merges produce a
-/// clearly-marked degraded report, and fleet_status() names the quarantined
-/// shard with its recorded error.
+/// Self-healing: the lease carries an adoption counter; a claim that would
+/// adopt a unit past `max_adoptions` instead *quarantines* it — a terminal
+/// generation recording the last owner, the adoption count and the last
+/// recorded SimError — so one poison seed cannot crash-loop the fleet.
+/// Adoption is safe because every run is a pure function of its seed
+/// (DESIGN.md §7): a survivor re-running seeds writes bit-identical records.
 ///
-/// Determinism makes adoption safe: every run is a pure function of its
-/// seed (DESIGN.md §7), and seeds are derived as base_seed + global index,
-/// so the seeds a survivor re-runs produce bit-identical records to the
-/// ones the dead worker would have written. Adoption resumes the dead
-/// worker's journal and executes only the missing indices — the merged
-/// output cannot tell who ran what.
+/// Elastic layout: every worker re-reads the manifest between claim passes,
+/// so repartition_fleet() — which re-tiles completed records and rewrites
+/// the manifest — propagates to running workers without a restart.
 ///
-/// Elastic layout: the fleet directory, not the command line, is the
-/// authority on layout. The first worker pins `<dir>/fleet.manifest`
-/// (first-writer-wins, like sweep.manifest) recording {base_seed,
-/// total_runs, shard_count, digest, tag}; a worker launched with
-/// shard_count == 0 reads the layout from the manifest, and every worker
-/// re-reads it between claim passes, so repartition_fleet(dir, new_count) —
-/// which migrates completed records into the new canonical tiling and
-/// rewrites the manifest — propagates to running workers without a restart.
-///
-/// Straggler work stealing: a worker that drained the claim pass may split
-/// a *live* slow unit. The owner's lease carries a `split_at` reservation
-/// watermark — the owner reserves forward (in chunks, each a generation
-/// bump) before dispatching an index, so every index it will ever append is
-/// < split_at. The stealer bumps the lease generation with the steal epoch
-/// incremented and split_at pinned, then creates a *child* journal named
-/// `<unit>.steal<epoch>_at<split_at>.journal` covering [split_at, end).
-/// Because reservation and steal are both bumps from the same generation,
-/// exactly one of them wins. Child filenames encode the partition, so
-/// sub-unit ranges are computable from the directory alone; children are
-/// ordinary units (claimable, adoptable, quarantinable, themselves
-/// stealable). The displaced owner sees the newer generation (heartbeat
-/// probe + a pre-append lease check) and aborts via LeaseLostError without
-/// appending another record; its completed prefix is adopted like any stale
-/// unit. merge folds parent and children back into the canonical bytes,
-/// refusing cross-journal overlap. Decided ('D') journals are never split,
-/// and sweep cells do not steal — a cell is already the mobility
-/// granularity of a sweep.
+/// Straggler work stealing: the owner's lease carries a `split_at`
+/// reservation watermark — the owner reserves forward (in chunks, each a
+/// generation bump) before dispatching an index, so every index it will
+/// ever append is < split_at. A stealer bumps the lease with the steal
+/// epoch incremented and split_at pinned, then creates the journal of the
+/// tail unit [split_at, end). Reservation and steal are bumps from the same
+/// generation, so exactly one of them wins; the displaced owner sees the
+/// newer generation before its next append and aborts. A unit whose
+/// campaign engages sequential model checking (CampaignOptions::smc) is
+/// never split: its decision needs the campaign's global seed order.
 
-/// Half-open global run-index range [begin, end) of one shard.
+/// Half-open run-index range [begin, end) within one cell.
 struct ShardRange {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -113,35 +89,74 @@ struct ShardRange {
 /// Canonical contiguous partition of [0, total_runs) into shard_count
 /// chunks: the first total_runs % shard_count shards get one extra run.
 /// Every participant (workers and merge) must agree on this layout; it is
-/// pinned per shard in the v2 journal header and re-derived on merge.
+/// pinned per shard in the journal header and re-derived on merge.
 ShardRange shard_range(std::size_t shard, std::size_t shard_count,
                        std::size_t total_runs);
 
-/// Journal / lease filenames inside a shard directory. The names carry the
-/// shard count so a re-partitioned campaign (same dir, different N) cannot
-/// silently collide with the old layout's files. A lease path is a *stem*:
-/// the files on disk are its generations (lease_generation_path).
-std::string shard_journal_path(const std::string& dir, std::size_t shard,
-                               std::size_t shard_count);
-std::string shard_lease_path(const std::string& dir, std::size_t shard,
-                             std::size_t shard_count);
+/// The identity + layout of a fleet directory, pinned in
+/// `<dir>/fleet.manifest` by the first worker (first-writer-wins) and
+/// authoritative from then on: later workers must agree with it, and every
+/// reader of the directory derives unit names, ranges and cell identities
+/// from it alone.
+struct FleetManifest {
+  std::uint64_t base_seed = 0;
+  std::size_t runs = 0;  ///< seeds per cell (common random numbers)
+  std::size_t shard_count = 0;
+  std::uint64_t scenario_digest = 0;
+  std::string tag;  ///< journal tag (a sweep's per-cell tag prefix)
+  /// The sweep grid; both empty for a campaign fleet (one cell).
+  std::vector<std::string> mappings;
+  std::vector<std::string> scenarios;
 
-/// Cell filenames inside a sweep shard directory (run_sharded_sweep): cell
-/// index i = mapping_index * |scenarios| + scenario_index, in grid order.
-std::string cell_journal_path(const std::string& dir, std::size_t cell,
-                              std::size_t cell_count);
-std::string cell_lease_path(const std::string& dir, std::size_t cell,
-                            std::size_t cell_count);
+  bool sweep() const { return !mappings.empty(); }
+  /// Cell count: |mappings| x |scenarios| in grid order (index =
+  /// mapping_index * |scenarios| + scenario_index, CampaignSweep::run's
+  /// execution order), or 1 for a campaign fleet.
+  std::size_t cells() const {
+    return sweep() ? mappings.size() * scenarios.size() : 1;
+  }
+  const std::string& cell_mapping(std::size_t cell) const {
+    return mappings[cell / scenarios.size()];
+  }
+  const std::string& cell_scenario(std::size_t cell) const {
+    return scenarios[cell % scenarios.size()];
+  }
+  /// The journal tag of one cell — the same derivation as CampaignSweep::run
+  /// for sweep cells, the fleet tag itself for a campaign fleet.
+  std::string cell_tag(std::size_t cell) const;
+};
 
-/// Child-unit filenames of a stolen tail: the parent unit's stem plus
-/// ".steal<epoch>_at<begin>" (begin is parent-local), so the sub-unit
-/// partition of a shard is computable from the directory listing alone.
-std::string shard_steal_journal_path(const std::string& dir, std::size_t shard,
-                                     std::size_t shard_count,
-                                     std::uint64_t epoch, std::size_t begin);
-std::string shard_steal_lease_path(const std::string& dir, std::size_t shard,
-                                   std::size_t shard_count,
-                                   std::uint64_t epoch, std::size_t begin);
+/// Reads `<dir>/fleet.manifest`. Throws minisc::SimError(kMergeIncomplete)
+/// when missing (no fleet ever pinned a layout here) and kJournalCorrupt
+/// when malformed.
+FleetManifest read_fleet_manifest(const std::string& dir);
+
+/// One work unit: the run range [range.begin, range.end) of cell `cell`
+/// (cell-local indices). `shard` is the canonical shard the unit tiles — the
+/// unit itself when epoch == 0, the parent of a stolen tail otherwise.
+struct Unit {
+  std::size_t cell = 0;
+  std::size_t shard = 0;
+  ShardRange range;
+  std::uint64_t epoch = 0;  ///< steal epoch that created a tail; 0 = primary
+};
+
+/// The one filename stem of a unit: `<dir>/shard_<i>_of_<N>` for a
+/// campaign fleet, `<dir>/cell_<c>_of_<C>` for a sweep, plus
+/// `.steal<epoch>_at<begin>` for a stolen tail. The unit's journal is
+/// `<stem>.journal`; its lease generations are `<stem>.lease.g<N>`. The
+/// names carry the tiling so a repartitioned fleet (same dir, different N)
+/// cannot silently collide with the old layout's files.
+std::string unit_stem(const std::string& dir, const FleetManifest& m,
+                      const Unit& u);
+
+/// Every unit of the fleet: the primaries of the manifest's tiling, each
+/// truncated where its stolen tails begin, plus every tail, sorted by
+/// (cell, shard, begin). The tails are discovered from one listing of `dir`
+/// — a tail's file names encode the partition. Throws minisc::SimError
+/// (kIoError) when the directory cannot be listed: a missed tail would let
+/// a worker re-claim its parent's whole range.
+std::vector<Unit> fleet_units(const std::string& dir, const FleetManifest& m);
 
 /// Generation `gen` (1-based) of the lease at `stem`: "<stem>.g<gen>".
 std::string lease_generation_path(const std::string& stem, std::uint64_t gen);
@@ -381,26 +396,17 @@ class StallTracker {
       seen_;
 };
 
-/// True when the journal at `path` exists, parses, and holds a record for
-/// every one of the `runs` shard-local indices. Never throws: a missing,
-/// torn or corrupt journal is simply "not complete" (the claimer heals it).
-bool shard_journal_complete(const std::string& path, std::size_t runs);
-
-/// How many of the `runs` shard-local indices the journal at `path` holds a
-/// record for (0 for a missing, torn-header or corrupt journal). Never
-/// throws — this is the read-only progress probe behind fleet_status().
-std::size_t shard_journal_coverage(const std::string& path, std::size_t runs);
-
-/// How one worker should participate in a sharded campaign or sweep.
+/// How one worker should participate in a campaign or sweep fleet.
 struct ShardOptions {
   /// Shared journal directory (created if missing). All workers of one
-  /// campaign must point at the same directory.
+  /// fleet must point at the same directory.
   std::string dir;
-  /// This worker's identity: its *preferred first shard* (workers start
+  /// This worker's identity: its *preferred first unit* (workers start
   /// claiming at their own index and roam upward, so a fleet spreads out
-  /// instead of stampeding shard 0) — "--shard i/N" on the benches. For
-  /// sweeps this is the preferred first *cell* (taken modulo the grid size).
+  /// instead of stampeding unit 0) — "--shard i/N" on the benches.
   std::size_t shard_index = 0;
+  /// The campaign's shard count (0 = elastic: read it from the manifest).
+  /// Ignored by sweeps, whose grid defines the unit count.
   std::size_t shard_count = 1;
   /// Unique id for lease files; "" derives "w<shard_index>.pid<pid>".
   std::string worker_id;
@@ -409,113 +415,102 @@ struct ShardOptions {
   /// can suffer; below ~4 heartbeats invites spurious adoption.
   std::uint64_t lease_ttl_ms = 10000;
   std::uint64_t heartbeat_ms = 0;  ///< 0 = lease_ttl_ms / 4
-  /// Adoption cap: a shard adopted this many times whose next claim would
-  /// adopt it again is quarantined instead (see claim_shard_lease). One
-  /// poison seed can therefore crash-loop the fleet at most max_adoptions
-  /// times before being quarantined out of the claim pass. 0 = unlimited
-  /// (the pre-quarantine behaviour: adopt forever).
+  /// Adoption cap: a unit adopted this many times whose next claim would
+  /// adopt it again is quarantined instead (see claim_shard_lease). 0 =
+  /// unlimited (adopt forever).
   std::uint64_t max_adoptions = 3;
-  /// Delay between claim passes once every remaining shard is leased by a
+  /// Delay between claim passes once every remaining unit is leased by a
   /// live peer (the waiting-for-the-fleet idle loop).
   std::uint64_t poll_ms = 200;
-  /// Give up waiting for other workers' shards after this long (0 = wait
-  /// until the whole campaign is complete — the CI survivor mode).
+  /// Give up waiting for other workers' units after this long (0 = wait
+  /// until the whole fleet is complete — the CI survivor mode).
   std::uint64_t max_wait_ms = 0;
-  /// Straggler work stealing (campaign shards only; 0 = disabled). Once a
-  /// claim pass makes no progress, a live unit whose reservation watermark
-  /// has not advanced for this long has its unreserved tail [split_at, end)
-  /// split off into a child unit this worker then claims. Choose a patience
-  /// well below the lease TTL: between steal_after_ms and the TTL is the
-  /// window where a frozen straggler is split rather than waited out.
+  /// Straggler work stealing (0 = disabled). Once a claim pass makes no
+  /// progress, a live unit whose reservation watermark has not advanced for
+  /// this long has its unreserved tail [split_at, end) split off into a new
+  /// unit this worker then claims. Units of an smc campaign never split.
+  /// Choose a patience well below the lease TTL: between steal_after_ms and
+  /// the TTL is the window where a frozen straggler is split rather than
+  /// waited out.
   std::uint64_t steal_after_ms = 0;
 };
 
 /// What one worker did. fleet_done is the fleet-level statement: every
-/// shard was either complete or quarantined when this worker exited;
-/// campaign_complete is the stricter claim that every shard's journal held
+/// unit was either complete or quarantined when this worker exited;
+/// campaign_complete is the stricter claim that every unit's journal held
 /// all its records (nothing quarantined, nothing missing).
 struct ShardProgress {
-  std::size_t shards_run = 0;      ///< shards this worker completed
-  std::size_t shards_adopted = 0;  ///< of those, stolen from dead workers
+  std::size_t shards_run = 0;      ///< units this worker completed
+  std::size_t shards_adopted = 0;  ///< of those, adopted from dead workers
   std::size_t runs_executed = 0;   ///< seeds actually simulated here
   std::size_t lease_conflicts = 0; ///< claims lost to live peers (transient)
-  std::size_t shards_lost = 0;     ///< own leases adopted away mid-shard
-  /// Shards observed in the quarantine terminal state (current lease
-  /// generation quarantined),
-  /// whether this worker performed the quarantine or merely found it.
+  std::size_t shards_lost = 0;     ///< own leases taken over mid-unit
+  /// Units observed in the quarantine terminal state, whether this worker
+  /// performed the quarantine or merely found it.
   std::size_t shards_quarantined = 0;
-  /// Shards this worker walked away from after a permanent SimError escaped
+  /// Units this worker walked away from after a permanent SimError escaped
   /// their execution (journal I/O failure, unhealable corruption, config
   /// mismatch): the error was recorded in the lease, the lease was left to
   /// go stale, and the adoption counter will eventually quarantine the
-  /// shard if every adopter fails the same way.
+  /// unit if every adopter fails the same way.
   std::size_t shards_abandoned = 0;
-  /// Live units whose tails this worker split off and claimed (work
-  /// stealing); the stolen child units it then ran count under shards_run.
+  /// Live units whose tails this worker split off (work stealing); the
+  /// stolen tails it then ran count under shards_run.
   std::size_t shards_stolen = 0;
-  bool campaign_complete = false;  ///< all shards complete, none quarantined
-  bool fleet_done = false;         ///< all shards complete OR quarantined
+  bool campaign_complete = false;  ///< all units complete, none quarantined
+  bool fleet_done = false;         ///< all units complete OR quarantined
 };
 
-/// The campaign identity + layout of a sharded-campaign directory, pinned
-/// in `<dir>/fleet.manifest` by the first worker (first-writer-wins, like
-/// the sweep manifest) and authoritative from then on: workers launched
-/// with ShardOptions::shard_count == 0 ("--shard-dir only") read the layout
-/// from it, explicit workers must agree with it, and every worker re-reads
-/// it between claim passes so a repartition_fleet() propagates live.
-struct FleetManifest {
-  std::uint64_t base_seed = 0;
-  std::size_t total_runs = 0;
-  std::size_t shard_count = 0;
-  std::uint64_t scenario_digest = 0;
-  std::string tag;
-};
-
-/// Reads `<dir>/fleet.manifest`. Throws minisc::SimError(kMergeIncomplete)
-/// when missing (no campaign fleet ever pinned a layout here) and
-/// kJournalCorrupt when malformed.
-FleetManifest read_fleet_manifest(const std::string& dir);
-
-/// Runs one worker of a sharded campaign: claims shards (preferred first,
-/// then roaming), executes each as a journaled+resumed FaultCampaign over
-/// its seed range, adopts stale leases of dead workers, skips quarantined
-/// shards, and keeps polling until every shard is complete or quarantined
-/// (or max_wait_ms expires). The CampaignOptions journal fields are
-/// overwritten per shard; threads, retry, budgets, digest and tag apply as
-/// usual.
+/// Runs one worker of a campaign fleet: claims units (preferred first, then
+/// roaming), executes each as a journaled+resumed FaultCampaign over its
+/// seed range, adopts stale leases of dead workers, skips quarantined
+/// units, and keeps polling until every unit is complete or quarantined
+/// (or max_wait_ms expires). The CampaignOptions journal and shard fields
+/// are overwritten per unit; threads, retry, budgets, digest and tag apply
+/// as usual.
 ///
-/// Layout authority: the first worker pins `<dir>/fleet.manifest`; later
-/// workers verify their {base_seed, total_runs, shard_count, digest, tag}
-/// against it and refuse (kBadConfig) on disagreement. shard.shard_count ==
-/// 0 is *elastic* mode: the shard count is read from the manifest (which
-/// must already exist), and the worker follows the manifest across a
-/// repartition. With shard.steal_after_ms > 0 the worker also splits live
-/// straggler units once its claim pass drains (see the steal contract in
-/// the file header).
+/// The first worker pins the manifest; later workers verify their
+/// {base_seed, total_runs, shard_count, digest, tag} against it and refuse
+/// (kBadConfig) on disagreement. shard.shard_count == 0 is *elastic* mode:
+/// the shard count is read from the manifest (which must already exist).
+/// An smc campaign must stay single-shard (kBadConfig otherwise).
 ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
                                    std::uint64_t base_seed,
                                    std::size_t total_runs,
                                    const ShardOptions& shard,
                                    const CampaignOptions& opts = {});
 
+/// Runs one worker of a CampaignSweep fleet: every (mapping, scenario) grid
+/// cell is one unit, claimed/adopted/quarantined exactly like a campaign
+/// shard, with the cell identity in its journal tag. All workers must agree
+/// on the grid (the manifest enforces it). shard.shard_index is the
+/// preferred starting cell.
+ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
+                                const std::vector<std::string>& scenarios,
+                                const CampaignSweep::Factory& factory,
+                                std::uint64_t base_seed, std::size_t n,
+                                const ShardOptions& shard,
+                                const CampaignOptions& opts = {});
+
 /// What one committed steal produced.
 struct StealResult {
   std::uint64_t epoch = 0;      ///< the victim lease's post-steal epoch
-  std::size_t split_at = 0;     ///< parent-local begin of the stolen tail
-  std::size_t stolen_runs = 0;  ///< size of the child unit [split_at, end)
-  std::string child_journal;    ///< the child journal created (header only)
+  std::size_t split_at = 0;     ///< shard-local begin of the stolen tail
+  std::size_t stolen_runs = 0;  ///< size of the tail unit [split_at, end)
+  std::string child_journal;    ///< the tail journal created (header only)
 };
 
-/// Splits the live unit `shard` of the fleet in `dir` at its current
-/// reservation watermark: atomically bumps the lease's steal epoch, pins
-/// split_at, and creates the child journal (header only) for
-/// [split_at, end) — the child is then an ordinary claimable unit, and the
-/// displaced owner aborts at its next lease probe. This is the primitive
-/// run_fleet's steal pass uses; it is exposed for tooling and tests.
-/// Throws minisc::SimError:
+/// Splits the live unit owning the tail of campaign shard `shard` of the
+/// fleet in `dir` at its current reservation watermark: atomically bumps
+/// the lease's steal epoch, pins split_at, and creates the tail unit's
+/// journal (header only) — the tail is then an ordinary claimable unit, and
+/// the displaced owner aborts at its next lease probe. This is the
+/// primitive the worker's steal pass uses; it is exposed for tooling and
+/// tests. Throws minisc::SimError:
 ///   - kBadConfig when the unit's journal carries a sequential-verdict
 ///     decision record — decided ('D') journals are never split (the error
-///     names the unit) — or when no fleet.manifest pins a layout;
+///     names the unit) — or when `shard` is out of range;
+///   - kMergeIncomplete when no fleet.manifest pins a layout;
 ///   - kLeaseConflict (transient) when the lease is missing, stale (adopt
 ///     it instead), carries no watermark yet, has nothing left to steal, or
 ///     the atomic takeover lost a race.
@@ -534,80 +529,32 @@ struct RepartitionResult {
   std::size_t stale_leases_removed = 0;  ///< other old-layout leases
 };
 
-/// Migrates the fleet directory to a new shard count: every record from
-/// every readable journal (primaries, steal children, quarantined units'
-/// journals, v2 files read-only) is re-tiled into fresh v3 journals under
-/// the new canonical shard_range partition, the manifest is atomically
-/// rewritten, and the old layout's files are removed — after which the
-/// merge of the directory is byte-identical to the single-process run, and
-/// manifest-following workers (elastic or re-launched) finish the campaign
-/// under the new layout. Byte-identical duplicate records across journals
-/// (crash re-runs) deduplicate silently; differing duplicates refuse.
-/// Quarantined leases are dropped (reported in the result): a poison
-/// seed re-earns its quarantine under the new layout via normal
-/// self-healing. Refuses, with a structured minisc::SimError:
+/// Migrates a campaign fleet to a new shard count: every record of every
+/// readable unit journal (primaries, stolen tails, quarantined units) is
+/// re-tiled into fresh journals under the new canonical shard_range
+/// partition, the manifest is atomically rewritten, and the old layout's
+/// files are removed — after which the merge of the directory is
+/// byte-identical to the single-process run, and manifest-following workers
+/// (elastic or re-launched) finish the campaign under the new layout.
+/// Byte-identical duplicate records across journals (crash re-runs)
+/// deduplicate silently; differing duplicates refuse. Quarantined leases
+/// are dropped (reported in the result): a poison seed re-earns its
+/// quarantine under the new layout via normal self-healing. Refuses, with a
+/// structured minisc::SimError:
 ///   - kLeaseConflict: any unit lease still live (naming the owner) —
 ///     repartition requires the units it rewrites to be unowned;
 ///   - kBadConfig: a decided ('D') journal (the decision pins the global
-///     seed order of a single-shard campaign), or new_count == 0;
-///   - kMergeIncomplete: no manifest and no journals to derive one from.
+///     seed order of a single-shard campaign), a sweep fleet (its grid is
+///     its tiling), or new_count == 0;
+///   - kMergeIncomplete: no manifest.
 RepartitionResult repartition_fleet(const std::string& dir,
                                     std::size_t new_count,
                                     std::uint64_t lease_ttl_ms = 10000);
 
-/// The grid identity of a sharded sweep, pinned in `<dir>/sweep.manifest` by
-/// the first worker (O_CREAT | O_EXCL — exactly one writer) and verified by
-/// everyone else: a worker whose grid, seed, run count, digest or tag
-/// disagrees with the manifest refuses to participate (kBadConfig) instead
-/// of silently corrupting cells, and merge/status re-derive cell names and
-/// grid order from it alone.
-struct SweepManifest {
-  std::uint64_t base_seed = 0;
-  std::size_t runs = 0;  ///< seeds per cell (common random numbers)
-  std::uint64_t scenario_digest = 0;
-  std::string tag;  ///< sweep-level tag prefix ("" = none)
-  std::vector<std::string> mappings;
-  std::vector<std::string> scenarios;
-
-  std::size_t cells() const { return mappings.size() * scenarios.size(); }
-  /// Grid-order cell identity: index = mapping_index * |scenarios| +
-  /// scenario_index, mirroring CampaignSweep::run's execution order.
-  const std::string& cell_mapping(std::size_t cell) const {
-    return mappings[cell / scenarios.size()];
-  }
-  const std::string& cell_scenario(std::size_t cell) const {
-    return scenarios[cell % scenarios.size()];
-  }
-  /// The journal tag of one cell — same derivation as CampaignSweep::run,
-  /// so cell journals carry the identity a single-process sweep would pin.
-  std::string cell_tag(std::size_t cell) const;
-};
-
-/// Reads `<dir>/sweep.manifest`. Throws minisc::SimError(kMergeIncomplete)
-/// when missing (no fleet ever started here) and kJournalCorrupt when
-/// malformed.
-SweepManifest read_sweep_manifest(const std::string& dir);
-
-/// Runs one worker of a sharded CampaignSweep: every (mapping, scenario)
-/// grid cell is an independent lease-claimable work unit — one lease + one
-/// journal per cell, claimed/adopted/quarantined exactly like campaign
-/// shards — so a fleet of workers spreads across the grid, survivors adopt
-/// the cells of dead workers, and a poison cell is quarantined after
-/// max_adoptions instead of crash-looping the fleet. All workers must agree
-/// on the grid (the manifest enforces it). shard.shard_index is the
-/// preferred starting cell; shard.shard_count is ignored (the grid defines
-/// the unit count).
-ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
-                                const std::vector<std::string>& scenarios,
-                                const CampaignSweep::Factory& factory,
-                                std::uint64_t base_seed, std::size_t n,
-                                const ShardOptions& shard,
-                                const CampaignOptions& opts = {});
-
 /// How a merge should treat an unfinished fleet.
 struct MergeOptions {
-  /// False (default): a missing shard journal, a missing record or a
-  /// quarantined shard refuses with kMergeIncomplete — merging a partial
+  /// False (default): a missing unit journal, a missing record or a
+  /// quarantined unit refuses with kMergeIncomplete — merging a partial
   /// fleet silently would bias every statistic the campaign measures.
   /// True: produce a clearly-marked degraded result instead — complete=false
   /// with the missing/quarantined units listed, statistics over the recorded
@@ -616,137 +563,85 @@ struct MergeOptions {
   bool allow_partial = false;
 };
 
-/// One quarantined work unit as a merge or status pass found it.
+/// One quarantined work unit as a merge found it.
 struct QuarantinedUnit {
-  std::size_t index = 0;  ///< shard index, or cell index for sweeps
-  std::string name;       ///< "shard 2/4" or "mapping/scenario"
+  std::size_t index = 0;  ///< the unit's shard within its cell
+  std::string name;       ///< "shard 2/4", "shard 2/4 tail@9" or "m/s"
   LeaseInfo info;         ///< last owner, adoption count, recorded error
 };
 
-/// A merged campaign: the global identity plus every run in global order.
-/// Feed `results` to FaultCampaign's results constructor for report() /
-/// write_csv() byte-identical to the uninterrupted single-process run.
-/// A partial merge (MergeOptions::allow_partial against an unfinished
-/// fleet) sets complete=false, lists what is missing or quarantined, and
-/// compacts `results` to the recorded runs in global order — deterministic
-/// for any thread count and any worker interleaving, because journals hold
-/// the same records no matter who wrote them.
-struct MergedCampaign {
-  std::uint64_t base_seed = 0;  ///< campaign-wide (shard 0's first seed)
-  std::size_t runs = 0;         ///< total across all shards
-  std::uint64_t scenario_digest = 0;
-  std::string tag;
-  std::size_t shard_count = 0;
-  std::vector<CampaignRunResult> results;
-
-  /// Sequential verdict recovered from the journal's decision record (only
-  /// legal in a single-shard layout — an smc campaign is never sharded).
-  /// With a decision, `results` covers the *executed* runs and the merge is
-  /// complete at that count: attach it to the rebuilt campaign via
-  /// FaultCampaign::set_smc_verdict for byte-identical report/CSV output.
-  std::optional<JournalDecision> decision;
-
-  // ---- degraded-merge bookkeeping (allow_partial) ----
-  bool complete = true;
-  std::size_t recorded_runs = 0;  ///< results.size(); == runs when complete
-  std::size_t missing_records = 0;
-  std::vector<std::size_t> missing_shards;  ///< no journal at all
-  std::vector<QuarantinedUnit> quarantined;
-};
-
-/// Folds shard journals into one campaign. A shard may be covered by
-/// several journals — its primary plus the child journals of stolen tails —
-/// as long as each covers a sub-range of the shard's canonical range and no
-/// record index is claimed by two different journals (cross-journal overlap
-/// refuses: the partition is ambiguous). Refuses, with a structured
-/// minisc::SimError:
-///   - kShardVersionMismatch: any journal whose format version predates the
-///     shard layer (v1 is readable but not mergeable), naming both versions
-///     — v2 files merge read-only alongside v3;
-///   - kBadConfig: mismatched scenario digests, tags, base seeds, total run
-///     counts or shard layouts across the journals, or a journal whose
-///     range escapes its shard's canonical shard_range slot;
-///   - kMergeIncomplete (unless opts.allow_partial): missing shard
-///     journals, duplicate sub-ranges, overlapping records, or missing run
-///     records — merging a partial fleet *silently* would bias every
-///     statistic the campaign exists to measure, so the one error message
-///     lists *every* missing/extra unit at once (operators fix the fleet in
-///     one round-trip, not one refusal at a time). allow_partial makes the
-///     bias explicit instead: see MergedCampaign's degraded-merge fields.
-MergedCampaign merge_journals(const std::vector<std::string>& paths,
-                              const MergeOptions& opts = {});
-
-/// merge_journals over the canonical shard journal filenames found in
-/// `dir`, plus quarantine awareness: a unit (primary or stolen tail) whose
-/// lease is quarantined refuses a strict merge (kMergeIncomplete naming the
-/// shard and suggesting allow_partial) and is listed in
-/// MergedCampaign::quarantined by a partial one. The shard count is taken from the filenames, and every
-/// shard 0..count-1 must be present (or accounted for) unless allow_partial.
-MergedCampaign merge_shard_dir(const std::string& dir,
-                               const MergeOptions& opts = {});
-
-/// Terminal/progress state of one sweep cell as the merge found it.
+/// Terminal/progress state of one merged cell.
 enum class CellState {
-  kComplete,     ///< journal holds every run record
-  kPartial,      ///< journal exists but records are missing (or unreadable)
+  kComplete,     ///< every owed run record is present
+  kPartial,      ///< journals exist but records are missing (or unreadable)
   kMissing,      ///< no journal at all
-  kQuarantined,  ///< lease quarantined — terminal, never going to complete
+  kQuarantined,  ///< a unit lease is quarantined — terminal
 };
 
 const char* to_string(CellState s);
 
-/// One cell of a merged sweep.
-struct MergedSweepCell {
+/// One merged cell: a campaign fleet's only cell, or one sweep grid cell.
+struct MergedCell {
   std::size_t index = 0;
-  std::string mapping;
-  std::string scenario;
+  std::string mapping;   ///< "" for a campaign fleet
+  std::string scenario;  ///< "" for a campaign fleet
   CellState state = CellState::kMissing;
   std::size_t records = 0;  ///< run records recovered
-  std::size_t runs = 0;     ///< records expected (manifest, or the decision's
-                            ///< executed count for early-stopped cells)
-  std::string error;        ///< quarantine record / read-failure note
-  /// Recovered results in seed order (complete and partial cells).
+  std::size_t runs = 0;     ///< records owed (the manifest's runs, or the
+                            ///< decision's executed count when decided)
+  std::string error;        ///< quarantine summaries / read-failure notes
+  /// Recovered results in seed order; compacted over the recorded runs when
+  /// the cell is not complete (deterministic for any worker interleaving,
+  /// because journals hold the same records no matter who wrote them).
+  /// Feed them to FaultCampaign's results constructor for report() /
+  /// write_csv() byte-identical to the uninterrupted single-process run.
   std::vector<CampaignRunResult> results;
-  /// Sequential verdict of an early-stopped (pruned) cell: the cell is
-  /// complete at decision->executed records, and to_sweep() re-attaches the
-  /// verdict so the rebuilt grid renders the same markers and CSV columns.
+  /// Sequential verdict of an early-stopped cell: the cell is complete at
+  /// decision->executed records; attach it to the rebuilt campaign via
+  /// FaultCampaign::set_smc_verdict for byte-identical output.
   std::optional<JournalDecision> decision;
+  std::vector<std::size_t> missing_shards;  ///< shards with no journal at all
+  std::vector<QuarantinedUnit> quarantined;
 };
 
-/// A merged sweep: the manifest identity plus every cell in grid order.
-/// When complete, to_sweep()/print()/write_csv() are byte-identical to the
-/// uninterrupted single-process CampaignSweep. When degraded (allow_partial
-/// against an unfinished fleet), print() emits a clearly-marked DEGRADED
-/// banner, the grid with '-' holes, and one line per unfinished cell;
-/// write_csv() appends records/runs/state columns so no downstream reader
-/// can mistake a partial grid for a finished one.
-struct MergedSweep {
-  SweepManifest manifest;
-  std::vector<MergedSweepCell> cells;  ///< grid order, manifest.cells() long
+/// A merged fleet: the manifest plus every cell in grid order. For a sweep
+/// fleet, to_sweep()/print()/write_csv() are byte-identical to the
+/// uninterrupted single-process CampaignSweep when complete. When degraded
+/// (allow_partial against an unfinished fleet), print() emits a
+/// clearly-marked DEGRADED banner, the grid with '-' holes, and one line per
+/// unfinished cell; write_csv() appends records/runs/state columns so no
+/// downstream reader can mistake a partial grid for a finished one.
+struct MergedFleet {
+  FleetManifest manifest;
+  std::vector<MergedCell> cells;  ///< grid order, manifest.cells() long
   bool complete = true;
 
   std::size_t complete_cells() const;
   std::size_t quarantined_cells() const;
 
-  /// Rebuilds the CampaignSweep (complete cells only; when complete==true
-  /// this is the byte-identical single-process sweep).
+  /// Rebuilds the CampaignSweep (complete cells only).
   CampaignSweep to_sweep() const;
   void print(std::ostream& os) const;
   void write_csv(std::ostream& os) const;
 };
 
-/// Folds a sweep shard directory into one MergedSweep. Identity refusals
-/// (version, digest, tag, seed, run count vs the manifest) always throw;
-/// missing/partial/quarantined cells throw kMergeIncomplete unless
-/// opts.allow_partial, which returns the degraded MergedSweep instead.
-MergedSweep merge_sweep_dir(const std::string& dir,
-                            const MergeOptions& opts = {});
+/// Folds every unit journal of the fleet in `dir` into its cell's slots by
+/// run-range containment. Refuses, with a structured minisc::SimError:
+///   - kMergeIncomplete when no manifest pins the fleet, when two journals
+///     claim the same unit, and (unless opts.allow_partial) for missing
+///     journals, missing records or quarantined units — every cell's
+///     shortfall listed in one message, so one round trip fixes the fleet;
+///   - kShardVersionMismatch for a journal of another format version;
+///   - kBadConfig for identity disagreements (digest, tag, seed, layout, a
+///     range escaping its shard), for a run recorded by two journals, and
+///     for a decision record outside a one-journal, one-shard cell.
+MergedFleet merge_fleet(const std::string& dir, const MergeOptions& opts = {});
 
 // ---- read-only fleet status ------------------------------------------------
 
-/// State of one work unit (campaign shard or sweep cell), derived purely
-/// from reading the shard directory — stat() and read() only, no writes, no
-/// lease traffic: observing a fleet must never perturb it.
+/// State of one canonical shard (a campaign shard or a sweep cell), derived
+/// purely from reading the fleet directory — stat() and read() only, no
+/// writes, no lease traffic: observing a fleet must never perturb it.
 struct ShardStatusEntry {
   enum class State {
     kDone,         ///< journal complete
@@ -764,10 +659,10 @@ struct ShardStatusEntry {
   /// Milliseconds since the lease heartbeat; negative = mtime in the future
   /// (clock skew). Meaningful for kClaimed/kStale only.
   std::int64_t heartbeat_age_ms = 0;
-  std::size_t records = 0;  ///< journal records present (steal children included)
-  std::size_t runs = 0;     ///< records expected (0 = unknown)
-  /// Stolen child units of this shard (".steal<e>_at<b>" files present).
-  /// records counts their journals too; done requires parent AND children.
+  std::size_t records = 0;  ///< journal records present (stolen tails included)
+  std::size_t runs = 0;     ///< records expected
+  /// Stolen tails of this shard. records counts their journals too; done
+  /// requires the primary AND every tail done.
   std::size_t children = 0;
   std::string error;        ///< recorded/quarantined SimError text ("" = none)
 };
@@ -776,7 +671,7 @@ const char* to_string(ShardStatusEntry::State s);
 
 /// Snapshot of a whole fleet.
 struct FleetStatus {
-  std::size_t units = 0;  ///< shard or cell count
+  std::size_t units = 0;  ///< canonical shard count over all cells
   std::size_t done = 0, claimed = 0, stale = 0, quarantined = 0, unclaimed = 0;
   std::size_t records = 0, runs = 0;  ///< run-record totals across units
   std::vector<ShardStatusEntry> entries;
@@ -785,18 +680,12 @@ struct FleetStatus {
   bool fleet_done() const { return done + quarantined == units && units > 0; }
 };
 
-/// Reads the status of a sharded-*campaign* directory: one entry per shard,
-/// layout derived from the shard filenames, run counts from the journal
-/// headers' total_runs. `lease_ttl_ms` classifies claimed vs stale (use the
-/// fleet's TTL). Throws kMergeIncomplete when the directory holds no shard
-/// files at all.
+/// Reads the status of a fleet directory (campaign or sweep): one entry per
+/// canonical shard of every cell, its stolen tails folded in, named from the
+/// manifest. `lease_ttl_ms` classifies claimed vs stale (use the fleet's
+/// TTL). Throws kMergeIncomplete when no manifest pins a fleet there.
 FleetStatus fleet_status(const std::string& dir,
                          std::uint64_t lease_ttl_ms = 10000);
-
-/// Reads the status of a sharded-*sweep* directory: one entry per grid
-/// cell, named mapping/scenario via the manifest.
-FleetStatus sweep_fleet_status(const std::string& dir,
-                               std::uint64_t lease_ttl_ms = 10000);
 
 /// Renders a FleetStatus: a one-line fleet summary, then one line per unit
 /// (state, progress, owner, heartbeat age, adoption count, recorded error).

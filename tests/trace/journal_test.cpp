@@ -309,28 +309,6 @@ std::string v1_header_payload(std::uint64_t base_seed, std::uint64_t runs,
   return p;
 }
 
-TEST(Journal, V1JournalReadsWithDegenerateShardIdentity) {
-  // Read-only compat: a pre-shard (v1) journal parses, and its header is
-  // normalised to the whole-campaign identity (shard 0 of 1).
-  const std::string path = temp_journal("v1_compat");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << frame_record('H', v1_header_payload(40, 12, 777, "old-release"));
-  }
-  const JournalContents got = read_journal(path);
-  EXPECT_EQ(got.header.version, 1u);
-  EXPECT_EQ(got.header.base_seed, 40u);
-  EXPECT_EQ(got.header.runs, 12u);
-  EXPECT_EQ(got.header.scenario_digest, 777u);
-  EXPECT_EQ(got.header.tag, "old-release");
-  EXPECT_EQ(got.header.shard_index, 0u);
-  EXPECT_EQ(got.header.shard_count, 1u);
-  EXPECT_EQ(got.header.shard_begin, 0u);
-  EXPECT_EQ(got.header.total_runs, 12u);
-  EXPECT_EQ(got.header.worker_id, "");
-  std::remove(path.c_str());
-}
-
 TEST(Journal, UnknownFutureVersionIsRefusedNamingBothVersions) {
   const std::string path = temp_journal("v99");
   {
@@ -346,7 +324,7 @@ TEST(Journal, UnknownFutureVersionIsRefusedNamingBothVersions) {
     EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
     const std::string what = e.what();
     EXPECT_NE(what.find("version 99"), std::string::npos) << what;
-    EXPECT_NE(what.find("versions 1-3"), std::string::npos) << what;
+    EXPECT_NE(what.find("reads only version 3"), std::string::npos) << what;
   }
   std::remove(path.c_str());
 }
@@ -497,34 +475,6 @@ TEST(JournalResume, HeaderMismatchIsRefused) {
   FaultCampaign ok(synth_fn());
   ok.run(0, 4, opts);
   EXPECT_EQ(ok.results().size(), 4u);
-  std::remove(path.c_str());
-}
-
-TEST(JournalResume, V1JournalIsReadOnlyResumeRefusedNamingBothVersions) {
-  // An otherwise perfectly matching v1 journal (same base seed, run count,
-  // digest, tag) must refuse to resume: appending v2 records under a v1
-  // header would leave a file no single version describes.
-  const std::string path = temp_journal("v1_resume");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << frame_record('H', v1_header_payload(40, 12, 777, "old-release"));
-  }
-  CampaignOptions opts;
-  opts.journal_path = path;
-  opts.journal_tag = "old-release";
-  opts.scenario_digest = 777;
-  opts.resume = true;
-  FaultCampaign c(synth_fn());
-  try {
-    c.run(40, 12, opts);
-    FAIL() << "expected SimError(kShardVersionMismatch)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
-    const std::string what = e.what();
-    EXPECT_NE(what.find("format version 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("appends version 3"), std::string::npos) << what;
-    EXPECT_NE(what.find(path), std::string::npos);
-  }
   std::remove(path.c_str());
 }
 

@@ -29,7 +29,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -139,6 +141,35 @@ void shift_mtime(const std::string& stem, std::chrono::seconds by) {
       path, std::filesystem::last_write_time(path) + by);
 }
 
+/// The journal / lease stem of campaign shard `shard` of `count`.
+std::string stem_of(const std::string& dir, std::size_t shard,
+                    std::size_t count) {
+  FleetManifest m;
+  m.shard_count = count;
+  Unit u;
+  u.shard = shard;
+  return unit_stem(dir, m, u);
+}
+/// The journal of the tail that steal epoch `epoch` split off a one-shard
+/// fleet at run `begin`.
+std::string tail_journal_of(const std::string& dir, std::uint64_t epoch,
+                            std::size_t begin) {
+  FleetManifest m;
+  m.shard_count = 1;
+  Unit u;
+  u.range.begin = begin;
+  u.epoch = epoch;
+  return unit_stem(dir, m, u) + ".journal";
+}
+std::string journal_of(const std::string& dir, std::size_t shard,
+                       std::size_t count) {
+  return stem_of(dir, shard, count) + ".journal";
+}
+std::string lease_of(const std::string& dir, std::size_t shard,
+                     std::size_t count) {
+  return stem_of(dir, shard, count) + ".lease";
+}
+
 /// Backdates the current generation far enough that any sane TTL sees it
 /// stale.
 void make_stale(const std::string& stem) {
@@ -177,7 +208,7 @@ TEST(ShardRange, OutOfRangeShardIsRefused) {
 
 TEST(ShardLease, FreshClaimWritesTheWorkerIdAndReleaseEndsTheHold) {
   ScratchDir dir("fresh");
-  const std::string path = shard_lease_path(dir.str(), 0, 2);
+  const std::string path = lease_of(dir.str(), 0, 2);
   auto lease = claim_shard_lease(path, "alice", 10000);
   EXPECT_FALSE(lease->adopted());
   EXPECT_FALSE(lease->lost());
@@ -201,7 +232,7 @@ TEST(ShardLease, FreshClaimWritesTheWorkerIdAndReleaseEndsTheHold) {
 
 TEST(ShardLease, DoubleClaimIsATransientConflict) {
   ScratchDir dir("double");
-  const std::string path = shard_lease_path(dir.str(), 0, 2);
+  const std::string path = lease_of(dir.str(), 0, 2);
   auto lease = claim_shard_lease(path, "alice", 10000);
   try {
     claim_shard_lease(path, "bob", 10000);
@@ -222,7 +253,7 @@ TEST(ShardLease, DoubleClaimIsATransientConflict) {
 
 TEST(ShardLease, FreshLeaseOfADeadlessWorkerIsNotAdoptable) {
   ScratchDir dir("not_stale");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = lease_of(dir.str(), 0, 1);
   // A lease file with a current mtime and no live process behind it is
   // indistinguishable from a just-started worker: it must NOT be adopted.
   put_lease(path, lease_info("maybe-alive", 0));
@@ -233,7 +264,7 @@ TEST(ShardLease, FreshLeaseOfADeadlessWorkerIsNotAdoptable) {
 
 TEST(ShardLease, StaleLeaseIsAdopted) {
   ScratchDir dir("stale");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = lease_of(dir.str(), 0, 1);
   put_lease(path, lease_info("dead-worker", 0));
   make_stale(path);
   auto lease = claim_shard_lease(path, "survivor", 10000);
@@ -252,7 +283,7 @@ TEST(ShardLease, StaleLeaseIsAdopted) {
 
 TEST(ShardLease, TakenOverLeaseIsObservedLostAndLeftToTheAdopter) {
   ScratchDir dir("takeover");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = lease_of(dir.str(), 0, 1);
   // Tight heartbeat so the probe notices quickly.
   auto lease = claim_shard_lease(path, "victim", 10000, /*heartbeat_ms=*/20);
   // Simulate the adopter's bump: a newer generation names it.
@@ -279,7 +310,7 @@ void make_future(const std::string& stem, int minutes) {
 
 TEST(ShardLease, FutureMtimeBeyondTheTtlIsStaleToo) {
   ScratchDir dir("skew_far");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = lease_of(dir.str(), 0, 1);
   put_lease(path, lease_info("skewed-worker", 0));
   // An hour in the future with a 10 s TTL: no honest heartbeat can have
   // produced this mtime, so treating it as "alive until the wall clock
@@ -294,7 +325,7 @@ TEST(ShardLease, FutureMtimeBeyondTheTtlIsStaleToo) {
 
 TEST(ShardLease, FutureMtimeWithinTheTtlIsAlive) {
   ScratchDir dir("skew_near");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = lease_of(dir.str(), 0, 1);
   put_lease(path, lease_info("slightly-ahead", 0));
   // A few seconds ahead is ordinary NFS/VM clock slop around a live
   // heartbeat: within the TTL window in either direction means alive.
@@ -308,7 +339,7 @@ TEST(ShardLease, FutureMtimeWithinTheTtlIsAlive) {
 
 TEST(ShardLease, AdoptionCounterRoundTripsAcrossGenerations) {
   ScratchDir dir("counter");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = lease_of(dir.str(), 0, 1);
   // Generation 0: fresh claim, counter starts at zero...
   claim_shard_lease(path, "gen0", 10000)->abandon();
   // ...then every crash/adopt cycle increments it through the file.
@@ -328,7 +359,7 @@ TEST(ShardLease, AdoptionCounterRoundTripsAcrossGenerations) {
 
 TEST(ShardLease, RecordedErrorSurvivesAdoptionIntoTheTombstone) {
   ScratchDir dir("carry_error");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = lease_of(dir.str(), 0, 1);
   {
     auto lease = claim_shard_lease(path, "first", 10000, 0,
                                    /*max_adoptions=*/1);
@@ -368,7 +399,7 @@ TEST(ShardLease, RecordedErrorSurvivesAdoptionIntoTheTombstone) {
 
 TEST(ShardLease, QuarantinedShardRefusesEveryLaterClaim) {
   ScratchDir dir("quarantined_claim");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = lease_of(dir.str(), 0, 1);
   put_lease(path, lease_info("dead-worker", 0));
   make_stale(path);
   // Zero prior adoptions, so with max_adoptions=1 the first stale claim
@@ -394,7 +425,7 @@ TEST(ShardLease, QuarantinedShardRefusesEveryLaterClaim) {
 
 TEST(ShardLease, RacingAdoptersQuarantineExactlyOnce) {
   ScratchDir dir("race_quarantine");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = lease_of(dir.str(), 0, 1);
   // Run the race several rounds: the quarantine bump must pick exactly one
   // winner each time, never two, never zero.
   for (int round = 0; round < 10; ++round) {
@@ -436,7 +467,7 @@ TEST(ShardLease, RacingAdoptersQuarantineExactlyOnce) {
 
 TEST(ShardLease, MaxAdoptionsZeroMeansUnlimited) {
   ScratchDir dir("unlimited");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = lease_of(dir.str(), 0, 1);
   claim_shard_lease(path, "gen0", 10000, 0, /*max_adoptions=*/0)->abandon();
   for (std::uint64_t gen = 1; gen <= 6; ++gen) {
     make_stale(path);
@@ -475,11 +506,11 @@ TEST(ShardWorker, SingleWorkerCompletesEveryShardAndMergesByteIdentically) {
     EXPECT_EQ(p.shards_adopted, 0u);
     EXPECT_EQ(p.runs_executed, total);
 
-    const MergedCampaign merged = merge_shard_dir(dir.str());
-    EXPECT_EQ(merged.base_seed, base);
-    EXPECT_EQ(merged.runs, total);
-    EXPECT_EQ(merged.shard_count, 3u);
-    FaultCampaign folded(merged.results);
+    const MergedFleet merged = merge_fleet(dir.str());
+    EXPECT_EQ(merged.manifest.base_seed, base);
+    EXPECT_EQ(merged.manifest.runs, total);
+    EXPECT_EQ(merged.manifest.shard_count, 3u);
+    FaultCampaign folded(merged.cells[0].results);
     EXPECT_EQ(csv_of(folded), want_csv) << threads << " threads";
   }
 }
@@ -500,12 +531,12 @@ TEST(ShardWorker, AdoptionResumesTheDeadWorkersJournalRunningOnlyMissingSeeds) {
   h.total_runs = total;
   h.worker_id = "dead-worker";
   {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h, 1);
+    JournalWriter w(journal_of(dir.str(), 1, 2), h, 1);
     w.append(0, synth_run(base + r1.begin));
     w.append(1, synth_run(base + r1.begin + 1));
   }
   // ...and its lease went stale.
-  const std::string lease = shard_lease_path(dir.str(), 1, 2);
+  const std::string lease = lease_of(dir.str(), 1, 2);
   put_lease(lease, lease_info("dead-worker", 0));
   make_stale(lease);
 
@@ -534,7 +565,7 @@ TEST(ShardWorker, AdoptionResumesTheDeadWorkersJournalRunningOnlyMissingSeeds) {
   // The merge cannot tell who ran what.
   FaultCampaign reference(synth_fn());
   reference.run(base, total);
-  FaultCampaign folded(merge_shard_dir(dir.str()).results);
+  FaultCampaign folded(merge_fleet(dir.str()).cells[0].results);
   EXPECT_EQ(csv_of(folded), csv_of(reference));
 }
 
@@ -544,8 +575,8 @@ TEST(ShardWorker, CorruptAdoptedJournalIsHealedUnderTheExclusiveLease) {
   // Shard 1's journal is bytes-but-no-header: a worker died inside its very
   // first write. The adopter holds the exclusive lease and every run is a
   // pure function of its seed, so it deletes the wreck and re-runs.
-  write_file(shard_journal_path(dir.str(), 1, 2), "garbage");
-  const std::string lease = shard_lease_path(dir.str(), 1, 2);
+  write_file(journal_of(dir.str(), 1, 2), "garbage");
+  const std::string lease = lease_of(dir.str(), 1, 2);
   put_lease(lease, lease_info("dead-worker", 0));
   make_stale(lease);
 
@@ -560,7 +591,7 @@ TEST(ShardWorker, CorruptAdoptedJournalIsHealedUnderTheExclusiveLease) {
 
   FaultCampaign reference(synth_fn());
   reference.run(0, total);
-  FaultCampaign folded(merge_shard_dir(dir.str()).results);
+  FaultCampaign folded(merge_fleet(dir.str()).cells[0].results);
   EXPECT_EQ(csv_of(folded), csv_of(reference));
 }
 
@@ -609,7 +640,7 @@ TEST(ShardWorker, TwoWorkersSplitTheCampaignWithZeroOverlap) {
 
   FaultCampaign reference(synth_fn());
   reference.run(base, total);
-  FaultCampaign folded(merge_shard_dir(dir.str()).results);
+  FaultCampaign folded(merge_fleet(dir.str()).cells[0].results);
   EXPECT_EQ(csv_of(folded), csv_of(reference));
 }
 
@@ -631,9 +662,9 @@ void build_fleet(const std::string& dir, std::uint64_t base,
 TEST(ShardMerge, MissingShardJournalIsIncomplete) {
   ScratchDir dir("missing_shard");
   build_fleet(dir.str(), 0, 10);
-  std::filesystem::remove(shard_journal_path(dir.str(), 1, 2));
+  std::filesystem::remove(journal_of(dir.str(), 1, 2));
   try {
-    merge_shard_dir(dir.str());
+    merge_fleet(dir.str());
     FAIL() << "expected SimError(kMergeIncomplete)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
@@ -656,13 +687,13 @@ TEST(ShardMerge, MissingRunRecordsAreIncomplete) {
   h.shard_begin = r1.begin;
   h.total_runs = total;
   {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h, 1);
+    JournalWriter w(journal_of(dir.str(), 1, 2), h, 1);
     for (std::size_t i = 0; i + 1 < r1.size(); ++i) {
       w.append(i, synth_run(r1.begin + i));
     }
   }
   try {
-    merge_shard_dir(dir.str());
+    merge_fleet(dir.str());
     FAIL() << "expected SimError(kMergeIncomplete)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
@@ -686,13 +717,13 @@ TEST(ShardMerge, MixedScenarioDigestsAreRefused) {
   h.shard_begin = r1.begin;
   h.total_runs = total;
   {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h, 1);
+    JournalWriter w(journal_of(dir.str(), 1, 2), h, 1);
     for (std::size_t i = 0; i < r1.size(); ++i) {
       w.append(i, synth_run(r1.begin + i));
     }
   }
   try {
-    merge_shard_dir(dir.str());
+    merge_fleet(dir.str());
     FAIL() << "expected SimError(kBadConfig)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
@@ -701,461 +732,8 @@ TEST(ShardMerge, MixedScenarioDigestsAreRefused) {
   }
 }
 
-TEST(ShardMerge, OldFormatVersionsAreRefusedNamingBothVersions) {
-  ScratchDir dir("old_version");
-  build_fleet(dir.str(), 0, 10);
-  // Overwrite shard 1 with a v1-framed journal (pre-shard format). Framing
-  // re-implemented here because the current writer cannot produce v1.
-  std::string payload;
-  auto u32 = [&payload](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      payload.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  };
-  auto u64 = [&payload](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      payload.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  };
-  u32(1);  // version
-  u64(5);  // base_seed
-  u64(5);  // runs
-  u64(0);  // digest
-  u32(0);  // empty tag
-  std::string rec;
-  rec.push_back('H');
-  for (int i = 0; i < 4; ++i) {
-    rec.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xff));
-  }
-  rec += payload;
-  std::uint64_t sum = 1469598103934665603ull;
-  for (const char c : rec) {
-    sum ^= static_cast<unsigned char>(c);
-    sum *= 1099511628211ull;
-  }
-  for (int i = 0; i < 8; ++i) {
-    rec.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
-  }
-  write_file(shard_journal_path(dir.str(), 1, 2), rec);
-  try {
-    merge_shard_dir(dir.str());
-    FAIL() << "expected SimError(kShardVersionMismatch)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
-  }
-}
-
-TEST(ShardMerge, EmptyDirectoryIsIncomplete) {
-  ScratchDir dir("empty");
-  try {
-    merge_shard_dir(dir.str());
-    FAIL() << "expected SimError(kMergeIncomplete)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
-  }
-}
-
-// ---- quarantine end-to-end ------------------------------------------------
-
-TEST(ShardWorker, PermanentInfraErrorConvergesToQuarantine) {
-  ScratchDir dir("infra_quarantine");
-  const std::uint64_t base = 40;
-  const std::size_t total = 6;  // 2 shards of 3
-  const ShardRange r1 = shard_range(1, 2, total);
-  // Shard 1's seeds hit a host whose disk is full: every attempt raises the
-  // structured infrastructure error. The worker records it on the lease,
-  // abandons, the (self-)adoption counter climbs, and the cap quarantines
-  // the poison shard instead of crash-looping forever.
-  const auto fn = [&](std::uint64_t seed) -> CampaignRunResult {
-    if (seed >= base + r1.begin) {
-      throw SimError(SimError::Kind::kIoError,
-                     "append 'shard_1_of_2.journal': pwrite: "
-                     "No space left on device");
-    }
-    return synth_run(seed);
-  };
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_index = 0;
-  so.shard_count = 2;
-  so.worker_id = "sick-host";
-  so.lease_ttl_ms = 200;  // short TTL so abandoned leases go stale fast
-  so.poll_ms = 20;
-  so.max_adoptions = 2;
-  const ShardProgress p = run_sharded_campaign(fn, base, total, so);
-  EXPECT_TRUE(p.fleet_done);
-  EXPECT_FALSE(p.campaign_complete);
-  EXPECT_EQ(p.shards_run, 1u);
-  EXPECT_EQ(p.shards_quarantined, 1u);
-  // Initial claim plus max_adoptions crash generations, all abandoned.
-  EXPECT_EQ(p.shards_abandoned, 3u);
-
-  LeaseInfo qinfo;
-  ASSERT_TRUE(read_lease_info(shard_lease_path(dir.str(), 1, 2), &qinfo));
-  EXPECT_EQ(qinfo.state, LeaseInfo::State::kQuarantined);
-  EXPECT_EQ(qinfo.adoptions, 2u);
-  EXPECT_NE(qinfo.error.find("No space left on device"), std::string::npos)
-      << qinfo.error;
-
-  // Strict merge refuses the quarantine by name, pointing at the escape
-  // hatch; --allow-partial yields the explicitly degraded campaign.
-  try {
-    merge_shard_dir(dir.str());
-    FAIL() << "expected SimError(kMergeIncomplete)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
-    const std::string what = e.what();
-    EXPECT_NE(what.find("quarantined"), std::string::npos) << what;
-    EXPECT_NE(what.find("--allow-partial"), std::string::npos) << what;
-  }
-  MergeOptions mo;
-  mo.allow_partial = true;
-  const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
-  EXPECT_FALSE(merged.complete);
-  EXPECT_EQ(merged.recorded_runs, total - r1.size());
-  EXPECT_EQ(merged.missing_records, r1.size());
-  ASSERT_EQ(merged.quarantined.size(), 1u);
-  EXPECT_EQ(merged.quarantined[0].index, 1u);
-  EXPECT_NE(merged.quarantined[0].info.error.find("No space left"),
-            std::string::npos);
-}
-
-// ---- partial merges -------------------------------------------------------
-
-TEST(ShardMerge, AllowPartialCompactsMissingRecordsInSeedOrder) {
-  ScratchDir dir("partial_records");
-  const std::size_t total = 10;
-  const ShardRange r1 = shard_range(1, 2, total);
-  build_fleet(dir.str(), 0, total);
-  // Rewrite shard 1's journal missing its SECOND record: the hole is in the
-  // middle of the global seed sequence, so compaction order matters.
-  JournalHeader h;
-  h.base_seed = r1.begin;
-  h.runs = r1.size();
-  h.shard_index = 1;
-  h.shard_count = 2;
-  h.shard_begin = r1.begin;
-  h.total_runs = total;
-  {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h, 1);
-    for (std::size_t i = 0; i < r1.size(); ++i) {
-      if (i == 1) continue;
-      w.append(i, synth_run(r1.begin + i));
-    }
-  }
-  MergeOptions mo;
-  mo.allow_partial = true;
-  const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
-  EXPECT_FALSE(merged.complete);
-  EXPECT_EQ(merged.missing_records, 1u);
-  EXPECT_TRUE(merged.missing_shards.empty());
-  ASSERT_EQ(merged.recorded_runs, total - 1);
-  ASSERT_EQ(merged.results.size(), total - 1);
-  // Global seed order with exactly the one seed skipped.
-  std::size_t at = 0;
-  for (std::uint64_t seed = 0; seed < total; ++seed) {
-    if (seed == r1.begin + 1) continue;
-    EXPECT_EQ(merged.results[at].seed, seed);
-    ++at;
-  }
-}
-
-TEST(ShardMerge, AllowPartialListsAWholeMissingShard) {
-  ScratchDir dir("partial_shard");
-  const std::size_t total = 10;
-  const ShardRange r1 = shard_range(1, 2, total);
-  build_fleet(dir.str(), 0, total);
-  std::filesystem::remove(shard_journal_path(dir.str(), 1, 2));
-  MergeOptions mo;
-  mo.allow_partial = true;
-  const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
-  EXPECT_FALSE(merged.complete);
-  ASSERT_EQ(merged.missing_shards.size(), 1u);
-  EXPECT_EQ(merged.missing_shards[0], 1u);
-  EXPECT_EQ(merged.missing_records, r1.size());
-  EXPECT_EQ(merged.recorded_runs, total - r1.size());
-}
-
-TEST(ShardMerge, QuarantineTombstoneDegradesEvenWithAFullJournal) {
-  ScratchDir dir("tomb_full");
-  const std::size_t total = 10;
-  build_fleet(dir.str(), 0, total);
-  // The shard was quarantined AFTER journaling everything (e.g. the fatal
-  // error hit on the final fsync). Every record is salvageable, but the
-  // campaign must still present as degraded: a quarantine is a statement
-  // that this fleet needed intervention, not a detail to launder away.
-  put_lease(shard_lease_path(dir.str(), 1, 2),
-            lease_info("doomed", 3, LeaseInfo::State::kQuarantined,
-                       "device reported EIO"));
-  MergeOptions mo;
-  mo.allow_partial = true;
-  const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
-  EXPECT_FALSE(merged.complete);
-  EXPECT_EQ(merged.recorded_runs, total);
-  EXPECT_EQ(merged.missing_records, 0u);
-  ASSERT_EQ(merged.quarantined.size(), 1u);
-  EXPECT_EQ(merged.quarantined[0].index, 1u);
-  EXPECT_EQ(merged.quarantined[0].info.owner, "doomed");
-  EXPECT_EQ(merged.quarantined[0].info.adoptions, 3u);
-  EXPECT_EQ(merged.quarantined[0].info.error, "device reported EIO");
-}
-
-TEST(ShardMerge, PartialMergeIsByteStableAcrossThreads) {
-  const std::uint64_t base = 11;
-  const std::size_t total = 17;  // 3 shards: 6, 6, 5
-  std::string want;
-  for (const std::size_t threads :
-       {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
-    ScratchDir dir("partial_t" + std::to_string(threads));
-    ShardOptions so;
-    so.dir = dir.str();
-    so.shard_index = 0;
-    so.shard_count = 3;
-    so.worker_id = "builder";
-    CampaignOptions co;
-    co.threads = threads;
-    const ShardProgress p =
-        run_sharded_campaign(synth_fn(), base, total, so, co);
-    ASSERT_TRUE(p.campaign_complete);
-    std::filesystem::remove(shard_journal_path(dir.str(), 1, 3));
-    MergeOptions mo;
-    mo.allow_partial = true;
-    const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
-    EXPECT_FALSE(merged.complete);
-    const std::string csv = csv_of(FaultCampaign(merged.results));
-    if (want.empty()) {
-      want = csv;
-    } else {
-      EXPECT_EQ(csv, want) << threads << " threads";
-    }
-  }
-}
-
-// ---- elastic layout (fleet manifest) --------------------------------------
-
-/// Hand-written fleet manifest, matching the pinned writer's format, for
-/// tests that need a layout authority without first completing a campaign.
-void write_manifest_for_test(const std::string& dir, std::uint64_t base,
-                             std::size_t total, std::size_t count,
-                             std::uint64_t digest = 0,
-                             const std::string& tag = "") {
-  write_file(dir + "/fleet.manifest",
-             "scperf-fleet v1\nbase_seed " + std::to_string(base) +
-                 "\ntotal_runs " + std::to_string(total) + "\nshard_count " +
-                 std::to_string(count) + "\ndigest " +
-                 std::to_string(digest) + "\ntag " + tag + "\n");
-}
-
-TEST(ShardElastic, FirstWorkerPinsTheManifestAndItReadsBack) {
-  ScratchDir dir("pin");
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_index = 0;
-  so.shard_count = 3;
-  so.worker_id = "pinner";
-  CampaignOptions co;
-  co.scenario_digest = 777;
-  co.journal_tag = "elastic";
-  ASSERT_TRUE(run_sharded_campaign(synth_fn(), 40, 13, so, co)
-                  .campaign_complete);
-  const FleetManifest m = read_fleet_manifest(dir.str());
-  EXPECT_EQ(m.base_seed, 40u);
-  EXPECT_EQ(m.total_runs, 13u);
-  EXPECT_EQ(m.shard_count, 3u);
-  EXPECT_EQ(m.scenario_digest, 777u);
-  EXPECT_EQ(m.tag, "elastic");
-}
-
-TEST(ShardElastic, UnpinnedDirectoryHasNoManifestToRead) {
-  ScratchDir dir("nopin");
-  try {
-    read_fleet_manifest(dir.str());
-    FAIL() << "expected SimError(kMergeIncomplete)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
-  }
-}
-
-TEST(ShardElastic, ElasticWorkerWithoutAManifestRefuses) {
-  ScratchDir dir("elastic_nomanifest");
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_count = 0;  // elastic: the manifest is the layout authority
-  so.worker_id = "early";
-  try {
-    run_sharded_campaign(synth_fn(), 40, 13, so);
-    FAIL() << "expected SimError(kBadConfig)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
-  }
-}
-
-TEST(ShardElastic, ElasticWorkerRunsTheWholeCampaignFromTheManifestAlone) {
-  const std::uint64_t base = 40;
-  const std::size_t total = 13;
-  FaultCampaign reference(synth_fn());
-  reference.run(base, total);
-
-  ScratchDir dir("elastic_runs");
-  write_manifest_for_test(dir.str(), base, total, 3);
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_count = 0;  // layout (including base seed + runs) from the pin
-  so.worker_id = "elastic";
-  const ShardProgress p = run_sharded_campaign(synth_fn(), base, total, so);
-  EXPECT_TRUE(p.campaign_complete);
-  EXPECT_EQ(p.runs_executed, total);
-  EXPECT_EQ(p.shards_run, 3u);
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_EQ(merged.shard_count, 3u);
-  EXPECT_EQ(csv_of(FaultCampaign(merged.results)), csv_of(reference));
-}
-
-TEST(ShardElastic, ExplicitWorkerDisagreeingWithThePinnedCountRefuses) {
-  ScratchDir dir("count_mismatch");
-  write_manifest_for_test(dir.str(), 40, 13, 3);
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_index = 0;
-  so.shard_count = 4;  // the pin says 3
-  so.worker_id = "late";
-  try {
-    run_sharded_campaign(synth_fn(), 40, 13, so);
-    FAIL() << "expected SimError(kBadConfig)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
-    // The refusal teaches the operator the elastic escape hatch.
-    EXPECT_NE(std::string(e.what()).find("repartitioned"), std::string::npos)
-        << e.what();
-  }
-}
-
-// ---- live repartition -----------------------------------------------------
-
-TEST(ShardRepartition, MidCampaignMigrationMergesByteIdenticallyAcrossThreads) {
-  const std::uint64_t base = 40;
-  const std::size_t total = 22;  // 4 shards: 6, 6, 5, 5
-  FaultCampaign reference(synth_fn());
-  reference.run(base, total);
-  const std::string want_csv = csv_of(reference);
-
-  for (const std::size_t threads :
-       {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
-    ScratchDir dir("repart_t" + std::to_string(threads));
-    ShardOptions so;
-    so.dir = dir.str();
-    so.shard_index = 0;
-    so.shard_count = 4;
-    so.worker_id = "builder";
-    ASSERT_TRUE(run_sharded_campaign(synth_fn(), base, total, so)
-                    .campaign_complete);
-    // Lose one shard's work entirely: the mid-campaign state a repartition
-    // must carry forward (21 records live, 5 seeds still owed).
-    std::filesystem::remove(shard_journal_path(dir.str(), 3, 4));
-
-    const RepartitionResult r = repartition_fleet(dir.str(), 7);
-    EXPECT_EQ(r.old_count, 4u);
-    EXPECT_EQ(r.new_count, 7u);
-    EXPECT_EQ(r.migrated_records, 17u);  // total minus shard 3's 5 runs
-    // Only shards holding migrated records get a journal up front (records
-    // [0,17) span new shards 0-5); the all-owed tail shard's journal is
-    // created by whichever worker claims it.
-    EXPECT_EQ(r.journals_written, 6u);
-    EXPECT_EQ(read_fleet_manifest(dir.str()).shard_count, 7u);
-
-    // A manifest-only (elastic) worker finishes exactly the owed seeds.
-    ShardOptions eso;
-    eso.dir = dir.str();
-    eso.shard_count = 0;
-    eso.worker_id = "finisher";
-    CampaignOptions co;
-    co.threads = threads;
-    const ShardProgress p =
-        run_sharded_campaign(synth_fn(), base, total, eso, co);
-    EXPECT_TRUE(p.campaign_complete);
-    EXPECT_EQ(p.runs_executed, 5u);
-
-    const MergedCampaign merged = merge_shard_dir(dir.str());
-    EXPECT_EQ(merged.shard_count, 7u);
-    EXPECT_EQ(merged.runs, total);
-    EXPECT_EQ(csv_of(FaultCampaign(merged.results)), want_csv)
-        << threads << " threads";
-  }
-}
-
-TEST(ShardRepartition, LiveLeaseRefusesNamingTheOwner) {
-  ScratchDir dir("repart_live");
-  build_fleet(dir.str(), 0, 10);
-  auto lease =
-      claim_shard_lease(shard_lease_path(dir.str(), 0, 2), "holdout", 10000);
-  try {
-    repartition_fleet(dir.str(), 3);
-    FAIL() << "expected SimError(kLeaseConflict)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict);
-    EXPECT_NE(std::string(e.what()).find("holdout"), std::string::npos)
-        << e.what();
-  }
-  lease->release();
-  EXPECT_EQ(repartition_fleet(dir.str(), 3).new_count, 3u);
-}
-
-TEST(ShardRepartition, QuarantineTombstonesAreDroppedForReearning) {
-  ScratchDir dir("repart_tomb");
-  build_fleet(dir.str(), 0, 10);
-  put_lease(shard_lease_path(dir.str(), 1, 2),
-            lease_info("victim", 3, LeaseInfo::State::kQuarantined));
-  const RepartitionResult r = repartition_fleet(dir.str(), 3);
-  EXPECT_EQ(r.dropped_quarantines, 1u);
-  // All 10 records existed, so the re-tiled fleet is already complete and
-  // merges cleanly — the quarantine does not survive the new layout.
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_TRUE(merged.complete);
-  EXPECT_EQ(merged.runs, 10u);
-}
-
-/// Completes a single-shard fleet and stamps a sequential-verdict decision
-/// record into its journal: the one journal shape that is never split.
-std::string build_decided_fleet(const std::string& dir, std::uint64_t base,
-                                std::size_t total) {
-  ShardOptions so;
-  so.dir = dir;
-  so.shard_index = 0;
-  so.shard_count = 1;
-  so.worker_id = "decider";
-  EXPECT_TRUE(run_sharded_campaign(synth_fn(), base, total, so)
-                  .campaign_complete);
-  const std::string path = shard_journal_path(dir, 0, 1);
-  const JournalContents before = read_journal(path);
-  JournalDecision d;
-  d.verdict.estimate = 0.25;
-  d.executed = total;
-  JournalWriter w(path, before.valid_bytes, /*flush_every=*/1);
-  w.append_decision(d);
-  w.sync();
-  return path;
-}
-
-TEST(ShardRepartition, DecidedJournalRefuses) {
-  ScratchDir dir("repart_decided");
-  build_decided_fleet(dir.str(), 40, 6);
-  try {
-    repartition_fleet(dir.str(), 2);
-    FAIL() << "expected SimError(kBadConfig)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
-    EXPECT_NE(std::string(e.what()).find("decided"), std::string::npos)
-        << e.what();
-  }
-}
-
-// ---- v2 journals: mergeable read-only, healed when incomplete -------------
-
 /// Journal framing (FNV-1a over type+len+payload), same as the writer's,
-/// so the tests can fabricate files from the previous format version.
+/// so the tests can fabricate files of a previous format version.
 std::string frame_record(char type, const std::string& payload) {
   std::string out;
   out.push_back(type);
@@ -1206,59 +784,428 @@ void downgrade_journal_to_v2(const std::string& path,
   write_file(path, out);
 }
 
-TEST(ShardMerge, CompleteV2JournalMergesReadOnlyAndIsNotReexecuted) {
-  const std::uint64_t base = 40;
-  const std::size_t total = 10;
-  FaultCampaign reference(synth_fn());
-  reference.run(base, total);
-
-  ScratchDir dir("v2_complete");
-  build_fleet(dir.str(), base, total);
-  const std::string v2 = shard_journal_path(dir.str(), 0, 2);
-  downgrade_journal_to_v2(v2, SIZE_MAX);
-  ASSERT_EQ(read_journal(v2).header.version, 2u);
-
-  // A fresh worker pass treats the complete v2 journal as done work: no
-  // re-execution, no heal — v3 refuses nothing it can safely read.
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_index = 0;
-  so.shard_count = 2;
-  so.worker_id = "revisit";
-  const ShardProgress p = run_sharded_campaign(synth_fn(), base, total, so);
-  EXPECT_TRUE(p.campaign_complete);
-  EXPECT_EQ(p.runs_executed, 0u);
-  EXPECT_EQ(read_journal(v2).header.version, 2u);
-
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_EQ(csv_of(FaultCampaign(merged.results)), csv_of(reference));
+TEST(ShardMerge, OldFormatVersionsAreRefusedNamingBothVersions) {
+  ScratchDir dir("old_version");
+  build_fleet(dir.str(), 0, 10);
+  // Shard 1 rewritten under a version-2 header: a journal of an earlier
+  // release is a wrong fleet, not a partial one, so even a degraded merge
+  // refuses it by both version numbers.
+  downgrade_journal_to_v2(journal_of(dir.str(), 1, 2), SIZE_MAX);
+  MergeOptions mo;
+  mo.allow_partial = true;
+  try {
+    merge_fleet(dir.str(), mo);
+    FAIL() << "expected SimError(kShardVersionMismatch)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+  }
 }
 
-TEST(ShardWorker, IncompleteV2JournalIsHealedToTheCurrentVersion) {
+TEST(ShardMerge, EmptyDirectoryIsIncomplete) {
+  ScratchDir dir("empty");
+  try {
+    merge_fleet(dir.str());
+    FAIL() << "expected SimError(kMergeIncomplete)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
+  }
+}
+
+// ---- quarantine end-to-end ------------------------------------------------
+
+TEST(ShardWorker, PermanentInfraErrorConvergesToQuarantine) {
+  ScratchDir dir("infra_quarantine");
   const std::uint64_t base = 40;
-  const std::size_t total = 10;  // 2 shards of 5
-  FaultCampaign reference(synth_fn());
-  reference.run(base, total);
-
-  ScratchDir dir("v2_heal");
-  build_fleet(dir.str(), base, total);
-  const std::string v2 = shard_journal_path(dir.str(), 0, 2);
-  downgrade_journal_to_v2(v2, 2);  // 2 of 5 records: incomplete
-  ASSERT_EQ(read_journal(v2).records.size(), 2u);
-
-  // The claimer cannot append to a previous-version file, so the unit is
-  // healed: journal removed under the exclusive lease and re-run whole.
+  const std::size_t total = 6;  // 2 shards of 3
+  const ShardRange r1 = shard_range(1, 2, total);
+  // Shard 1's seeds hit a host whose disk is full: every attempt raises the
+  // structured infrastructure error. The worker records it on the lease,
+  // abandons, the (self-)adoption counter climbs, and the cap quarantines
+  // the poison shard instead of crash-looping forever.
+  const auto fn = [&](std::uint64_t seed) -> CampaignRunResult {
+    if (seed >= base + r1.begin) {
+      throw SimError(SimError::Kind::kIoError,
+                     "append 'shard_1_of_2.journal': pwrite: "
+                     "No space left on device");
+    }
+    return synth_run(seed);
+  };
   ShardOptions so;
   so.dir = dir.str();
   so.shard_index = 0;
   so.shard_count = 2;
-  so.worker_id = "healer";
+  so.worker_id = "sick-host";
+  so.lease_ttl_ms = 200;  // short TTL so abandoned leases go stale fast
+  so.poll_ms = 20;
+  so.max_adoptions = 2;
+  const ShardProgress p = run_sharded_campaign(fn, base, total, so);
+  EXPECT_TRUE(p.fleet_done);
+  EXPECT_FALSE(p.campaign_complete);
+  EXPECT_EQ(p.shards_run, 1u);
+  EXPECT_EQ(p.shards_quarantined, 1u);
+  // Initial claim plus max_adoptions crash generations, all abandoned.
+  EXPECT_EQ(p.shards_abandoned, 3u);
+
+  LeaseInfo qinfo;
+  ASSERT_TRUE(read_lease_info(lease_of(dir.str(), 1, 2), &qinfo));
+  EXPECT_EQ(qinfo.state, LeaseInfo::State::kQuarantined);
+  EXPECT_EQ(qinfo.adoptions, 2u);
+  EXPECT_NE(qinfo.error.find("No space left on device"), std::string::npos)
+      << qinfo.error;
+
+  // Strict merge refuses the quarantine by name, pointing at the escape
+  // hatch; --allow-partial yields the explicitly degraded campaign.
+  try {
+    merge_fleet(dir.str());
+    FAIL() << "expected SimError(kMergeIncomplete)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("quarantined"), std::string::npos) << what;
+    EXPECT_NE(what.find("--allow-partial"), std::string::npos) << what;
+  }
+  MergeOptions mo;
+  mo.allow_partial = true;
+  const MergedFleet merged = merge_fleet(dir.str(), mo);
+  EXPECT_FALSE(merged.complete);
+  EXPECT_EQ(merged.cells[0].records, total - r1.size());
+  EXPECT_EQ(merged.cells[0].runs - merged.cells[0].records, r1.size());
+  ASSERT_EQ(merged.cells[0].quarantined.size(), 1u);
+  EXPECT_EQ(merged.cells[0].quarantined[0].index, 1u);
+  EXPECT_NE(merged.cells[0].quarantined[0].info.error.find("No space left"),
+            std::string::npos);
+}
+
+// ---- partial merges -------------------------------------------------------
+
+TEST(ShardMerge, AllowPartialCompactsMissingRecordsInSeedOrder) {
+  ScratchDir dir("partial_records");
+  const std::size_t total = 10;
+  const ShardRange r1 = shard_range(1, 2, total);
+  build_fleet(dir.str(), 0, total);
+  // Rewrite shard 1's journal missing its SECOND record: the hole is in the
+  // middle of the global seed sequence, so compaction order matters.
+  JournalHeader h;
+  h.base_seed = r1.begin;
+  h.runs = r1.size();
+  h.shard_index = 1;
+  h.shard_count = 2;
+  h.shard_begin = r1.begin;
+  h.total_runs = total;
+  {
+    JournalWriter w(journal_of(dir.str(), 1, 2), h, 1);
+    for (std::size_t i = 0; i < r1.size(); ++i) {
+      if (i == 1) continue;
+      w.append(i, synth_run(r1.begin + i));
+    }
+  }
+  MergeOptions mo;
+  mo.allow_partial = true;
+  const MergedFleet merged = merge_fleet(dir.str(), mo);
+  EXPECT_FALSE(merged.complete);
+  EXPECT_EQ(merged.cells[0].runs - merged.cells[0].records, 1u);
+  EXPECT_TRUE(merged.cells[0].missing_shards.empty());
+  ASSERT_EQ(merged.cells[0].records, total - 1);
+  ASSERT_EQ(merged.cells[0].results.size(), total - 1);
+  // Global seed order with exactly the one seed skipped.
+  std::size_t at = 0;
+  for (std::uint64_t seed = 0; seed < total; ++seed) {
+    if (seed == r1.begin + 1) continue;
+    EXPECT_EQ(merged.cells[0].results[at].seed, seed);
+    ++at;
+  }
+}
+
+TEST(ShardMerge, AllowPartialListsAWholeMissingShard) {
+  ScratchDir dir("partial_shard");
+  const std::size_t total = 10;
+  const ShardRange r1 = shard_range(1, 2, total);
+  build_fleet(dir.str(), 0, total);
+  std::filesystem::remove(journal_of(dir.str(), 1, 2));
+  MergeOptions mo;
+  mo.allow_partial = true;
+  const MergedFleet merged = merge_fleet(dir.str(), mo);
+  EXPECT_FALSE(merged.complete);
+  ASSERT_EQ(merged.cells[0].missing_shards.size(), 1u);
+  EXPECT_EQ(merged.cells[0].missing_shards[0], 1u);
+  EXPECT_EQ(merged.cells[0].runs - merged.cells[0].records, r1.size());
+  EXPECT_EQ(merged.cells[0].records, total - r1.size());
+}
+
+TEST(ShardMerge, QuarantineTombstoneDegradesEvenWithAFullJournal) {
+  ScratchDir dir("tomb_full");
+  const std::size_t total = 10;
+  build_fleet(dir.str(), 0, total);
+  // The shard was quarantined AFTER journaling everything (e.g. the fatal
+  // error hit on the final fsync). Every record is salvageable, but the
+  // campaign must still present as degraded: a quarantine is a statement
+  // that this fleet needed intervention, not a detail to launder away.
+  put_lease(lease_of(dir.str(), 1, 2),
+            lease_info("doomed", 3, LeaseInfo::State::kQuarantined,
+                       "device reported EIO"));
+  MergeOptions mo;
+  mo.allow_partial = true;
+  const MergedFleet merged = merge_fleet(dir.str(), mo);
+  EXPECT_FALSE(merged.complete);
+  EXPECT_EQ(merged.cells[0].records, total);
+  EXPECT_EQ(merged.cells[0].runs - merged.cells[0].records, 0u);
+  ASSERT_EQ(merged.cells[0].quarantined.size(), 1u);
+  EXPECT_EQ(merged.cells[0].quarantined[0].index, 1u);
+  EXPECT_EQ(merged.cells[0].quarantined[0].info.owner, "doomed");
+  EXPECT_EQ(merged.cells[0].quarantined[0].info.adoptions, 3u);
+  EXPECT_EQ(merged.cells[0].quarantined[0].info.error, "device reported EIO");
+}
+
+TEST(ShardMerge, PartialMergeIsByteStableAcrossThreads) {
+  const std::uint64_t base = 11;
+  const std::size_t total = 17;  // 3 shards: 6, 6, 5
+  std::string want;
+  for (const std::size_t threads :
+       {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+    ScratchDir dir("partial_t" + std::to_string(threads));
+    ShardOptions so;
+    so.dir = dir.str();
+    so.shard_index = 0;
+    so.shard_count = 3;
+    so.worker_id = "builder";
+    CampaignOptions co;
+    co.threads = threads;
+    const ShardProgress p =
+        run_sharded_campaign(synth_fn(), base, total, so, co);
+    ASSERT_TRUE(p.campaign_complete);
+    std::filesystem::remove(journal_of(dir.str(), 1, 3));
+    MergeOptions mo;
+    mo.allow_partial = true;
+    const MergedFleet merged = merge_fleet(dir.str(), mo);
+    EXPECT_FALSE(merged.complete);
+    const std::string csv = csv_of(FaultCampaign(merged.cells[0].results));
+    if (want.empty()) {
+      want = csv;
+    } else {
+      EXPECT_EQ(csv, want) << threads << " threads";
+    }
+  }
+}
+
+// ---- elastic layout (fleet manifest) --------------------------------------
+
+/// Hand-written fleet manifest, matching the pinned writer's format, for
+/// tests that need a layout authority without first completing a campaign.
+void write_manifest_for_test(const std::string& dir, std::uint64_t base,
+                             std::size_t total, std::size_t count,
+                             std::uint64_t digest = 0,
+                             const std::string& tag = "") {
+  write_file(dir + "/fleet.manifest",
+             "scperf-fleet v2\nbase_seed " + std::to_string(base) +
+                 "\nruns " + std::to_string(total) + "\nshard_count " +
+                 std::to_string(count) + "\ndigest " +
+                 std::to_string(digest) + "\ntag " + tag + "\n");
+}
+
+TEST(ShardElastic, FirstWorkerPinsTheManifestAndItReadsBack) {
+  ScratchDir dir("pin");
+  ShardOptions so;
+  so.dir = dir.str();
+  so.shard_index = 0;
+  so.shard_count = 3;
+  so.worker_id = "pinner";
+  CampaignOptions co;
+  co.scenario_digest = 777;
+  co.journal_tag = "elastic";
+  ASSERT_TRUE(run_sharded_campaign(synth_fn(), 40, 13, so, co)
+                  .campaign_complete);
+  const FleetManifest m = read_fleet_manifest(dir.str());
+  EXPECT_EQ(m.base_seed, 40u);
+  EXPECT_EQ(m.runs, 13u);
+  EXPECT_EQ(m.shard_count, 3u);
+  EXPECT_EQ(m.scenario_digest, 777u);
+  EXPECT_EQ(m.tag, "elastic");
+}
+
+TEST(ShardElastic, UnpinnedDirectoryHasNoManifestToRead) {
+  ScratchDir dir("nopin");
+  try {
+    read_fleet_manifest(dir.str());
+    FAIL() << "expected SimError(kMergeIncomplete)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
+  }
+}
+
+TEST(ShardElastic, ElasticWorkerWithoutAManifestRefuses) {
+  ScratchDir dir("elastic_nomanifest");
+  ShardOptions so;
+  so.dir = dir.str();
+  so.shard_count = 0;  // elastic: the manifest is the layout authority
+  so.worker_id = "early";
+  try {
+    run_sharded_campaign(synth_fn(), 40, 13, so);
+    FAIL() << "expected SimError(kBadConfig)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
+  }
+}
+
+TEST(ShardElastic, ElasticWorkerRunsTheWholeCampaignFromTheManifestAlone) {
+  const std::uint64_t base = 40;
+  const std::size_t total = 13;
+  FaultCampaign reference(synth_fn());
+  reference.run(base, total);
+
+  ScratchDir dir("elastic_runs");
+  write_manifest_for_test(dir.str(), base, total, 3);
+  ShardOptions so;
+  so.dir = dir.str();
+  so.shard_count = 0;  // layout (including base seed + runs) from the pin
+  so.worker_id = "elastic";
   const ShardProgress p = run_sharded_campaign(synth_fn(), base, total, so);
   EXPECT_TRUE(p.campaign_complete);
-  EXPECT_EQ(p.runs_executed, 5u);
-  EXPECT_EQ(read_journal(v2).header.version, JournalHeader::kVersion);
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_EQ(csv_of(FaultCampaign(merged.results)), csv_of(reference));
+  EXPECT_EQ(p.runs_executed, total);
+  EXPECT_EQ(p.shards_run, 3u);
+  const MergedFleet merged = merge_fleet(dir.str());
+  EXPECT_EQ(merged.manifest.shard_count, 3u);
+  EXPECT_EQ(csv_of(FaultCampaign(merged.cells[0].results)), csv_of(reference));
+}
+
+TEST(ShardElastic, ExplicitWorkerDisagreeingWithThePinnedCountRefuses) {
+  ScratchDir dir("count_mismatch");
+  write_manifest_for_test(dir.str(), 40, 13, 3);
+  ShardOptions so;
+  so.dir = dir.str();
+  so.shard_index = 0;
+  so.shard_count = 4;  // the pin says 3
+  so.worker_id = "late";
+  try {
+    run_sharded_campaign(synth_fn(), 40, 13, so);
+    FAIL() << "expected SimError(kBadConfig)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
+    // The refusal teaches the operator the elastic escape hatch.
+    EXPECT_NE(std::string(e.what()).find("repartitioned"), std::string::npos)
+        << e.what();
+  }
+}
+
+// ---- live repartition -----------------------------------------------------
+
+TEST(ShardRepartition, MidCampaignMigrationMergesByteIdenticallyAcrossThreads) {
+  const std::uint64_t base = 40;
+  const std::size_t total = 22;  // 4 shards: 6, 6, 5, 5
+  FaultCampaign reference(synth_fn());
+  reference.run(base, total);
+  const std::string want_csv = csv_of(reference);
+
+  for (const std::size_t threads :
+       {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+    ScratchDir dir("repart_t" + std::to_string(threads));
+    ShardOptions so;
+    so.dir = dir.str();
+    so.shard_index = 0;
+    so.shard_count = 4;
+    so.worker_id = "builder";
+    ASSERT_TRUE(run_sharded_campaign(synth_fn(), base, total, so)
+                    .campaign_complete);
+    // Lose one shard's work entirely: the mid-campaign state a repartition
+    // must carry forward (21 records live, 5 seeds still owed).
+    std::filesystem::remove(journal_of(dir.str(), 3, 4));
+
+    const RepartitionResult r = repartition_fleet(dir.str(), 7);
+    EXPECT_EQ(r.old_count, 4u);
+    EXPECT_EQ(r.new_count, 7u);
+    EXPECT_EQ(r.migrated_records, 17u);  // total minus shard 3's 5 runs
+    // Only shards holding migrated records get a journal up front (records
+    // [0,17) span new shards 0-5); the all-owed tail shard's journal is
+    // created by whichever worker claims it.
+    EXPECT_EQ(r.journals_written, 6u);
+    EXPECT_EQ(read_fleet_manifest(dir.str()).shard_count, 7u);
+
+    // A manifest-only (elastic) worker finishes exactly the owed seeds.
+    ShardOptions eso;
+    eso.dir = dir.str();
+    eso.shard_count = 0;
+    eso.worker_id = "finisher";
+    CampaignOptions co;
+    co.threads = threads;
+    const ShardProgress p =
+        run_sharded_campaign(synth_fn(), base, total, eso, co);
+    EXPECT_TRUE(p.campaign_complete);
+    EXPECT_EQ(p.runs_executed, 5u);
+
+    const MergedFleet merged = merge_fleet(dir.str());
+    EXPECT_EQ(merged.manifest.shard_count, 7u);
+    EXPECT_EQ(merged.manifest.runs, total);
+    EXPECT_EQ(csv_of(FaultCampaign(merged.cells[0].results)), want_csv)
+        << threads << " threads";
+  }
+}
+
+TEST(ShardRepartition, LiveLeaseRefusesNamingTheOwner) {
+  ScratchDir dir("repart_live");
+  build_fleet(dir.str(), 0, 10);
+  auto lease =
+      claim_shard_lease(lease_of(dir.str(), 0, 2), "holdout", 10000);
+  try {
+    repartition_fleet(dir.str(), 3);
+    FAIL() << "expected SimError(kLeaseConflict)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict);
+    EXPECT_NE(std::string(e.what()).find("holdout"), std::string::npos)
+        << e.what();
+  }
+  lease->release();
+  EXPECT_EQ(repartition_fleet(dir.str(), 3).new_count, 3u);
+}
+
+TEST(ShardRepartition, QuarantineTombstonesAreDroppedForReearning) {
+  ScratchDir dir("repart_tomb");
+  build_fleet(dir.str(), 0, 10);
+  put_lease(lease_of(dir.str(), 1, 2),
+            lease_info("victim", 3, LeaseInfo::State::kQuarantined));
+  const RepartitionResult r = repartition_fleet(dir.str(), 3);
+  EXPECT_EQ(r.dropped_quarantines, 1u);
+  // All 10 records existed, so the re-tiled fleet is already complete and
+  // merges cleanly — the quarantine does not survive the new layout.
+  const MergedFleet merged = merge_fleet(dir.str());
+  EXPECT_TRUE(merged.complete);
+  EXPECT_EQ(merged.manifest.runs, 10u);
+}
+
+/// Completes a single-shard fleet and stamps a sequential-verdict decision
+/// record into its journal: the one journal shape that is never split.
+std::string build_decided_fleet(const std::string& dir, std::uint64_t base,
+                                std::size_t total) {
+  ShardOptions so;
+  so.dir = dir;
+  so.shard_index = 0;
+  so.shard_count = 1;
+  so.worker_id = "decider";
+  EXPECT_TRUE(run_sharded_campaign(synth_fn(), base, total, so)
+                  .campaign_complete);
+  const std::string path = journal_of(dir, 0, 1);
+  const JournalContents before = read_journal(path);
+  JournalDecision d;
+  d.verdict.estimate = 0.25;
+  d.executed = total;
+  JournalWriter w(path, before.valid_bytes, /*flush_every=*/1);
+  w.append_decision(d);
+  w.sync();
+  return path;
+}
+
+TEST(ShardRepartition, DecidedJournalRefuses) {
+  ScratchDir dir("repart_decided");
+  build_decided_fleet(dir.str(), 40, 6);
+  try {
+    repartition_fleet(dir.str(), 2);
+    FAIL() << "expected SimError(kBadConfig)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
+    EXPECT_NE(std::string(e.what()).find("decided"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- straggler work stealing ----------------------------------------------
@@ -1271,7 +1218,7 @@ TEST(ShardSteal, SplitsALiveUnitAtTheWatermarkAndMergesByteIdentically) {
 
   ScratchDir dir("steal_split");
   write_manifest_for_test(dir.str(), base, total, 1);
-  const std::string lease_path = shard_lease_path(dir.str(), 0, 1);
+  const std::string lease_path = lease_of(dir.str(), 0, 1);
   auto victim = claim_shard_lease(lease_path, "victim", 10000);
   victim->reserve_through(0, total);  // watermark at the reserve chunk: 8
 
@@ -1280,7 +1227,7 @@ TEST(ShardSteal, SplitsALiveUnitAtTheWatermarkAndMergesByteIdentically) {
   EXPECT_EQ(s.split_at, 8u);
   EXPECT_EQ(s.stolen_runs, 2u);
   EXPECT_TRUE(std::filesystem::exists(
-      shard_steal_journal_path(dir.str(), 0, 1, 1, 8)));
+      tail_journal_of(dir.str(), 1, 8)));
   const JournalContents child = read_journal(s.child_journal);
   EXPECT_EQ(child.header.base_seed, base + 8);
   EXPECT_EQ(child.header.runs, 2u);
@@ -1305,16 +1252,16 @@ TEST(ShardSteal, SplitsALiveUnitAtTheWatermarkAndMergesByteIdentically) {
   EXPECT_EQ(p.runs_executed, total);
   EXPECT_EQ(p.shards_adopted, 1u);
 
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_EQ(merged.runs, total);
-  EXPECT_EQ(csv_of(FaultCampaign(merged.results)), csv_of(reference));
+  const MergedFleet merged = merge_fleet(dir.str());
+  EXPECT_EQ(merged.manifest.runs, total);
+  EXPECT_EQ(csv_of(FaultCampaign(merged.cells[0].results)), csv_of(reference));
 }
 
 TEST(ShardSteal, RefusesWithoutAWatermarkAndAtTheUnitEnd) {
   ScratchDir dir("steal_refuse");
   write_manifest_for_test(dir.str(), 40, 10, 1);
   auto owner =
-      claim_shard_lease(shard_lease_path(dir.str(), 0, 1), "owner", 10000);
+      claim_shard_lease(lease_of(dir.str(), 0, 1), "owner", 10000);
   // No run dispatched yet: no watermark, nothing can be split safely.
   try {
     steal_shard_tail(dir.str(), 0, 10000, "thief");
@@ -1341,7 +1288,7 @@ TEST(ShardSteal, DecidedJournalIsNeverSplitNamingTheUnit) {
   ScratchDir dir("steal_decided");
   build_decided_fleet(dir.str(), 40, 6);
   auto owner =
-      claim_shard_lease(shard_lease_path(dir.str(), 0, 1), "owner", 10000);
+      claim_shard_lease(lease_of(dir.str(), 0, 1), "owner", 10000);
   owner->reserve_through(0, 6);
   try {
     steal_shard_tail(dir.str(), 0, 10000, "thief");
@@ -1355,6 +1302,79 @@ TEST(ShardSteal, DecidedJournalIsNeverSplitNamingTheUnit) {
   owner->release();
 }
 
+TEST(ShardSteal, SmcUnitIsNeverSplit) {
+  // Sequential model checking consumes a campaign's seeds in global order,
+  // so a straggling smc unit reserves no watermark and is waited out, never
+  // split: a stolen tail would run its own decision over a different seed
+  // prefix, and the fleet could no longer be merged.
+  const std::uint64_t base = 40;
+  const std::size_t total = 40;
+  CampaignOptions co;
+  co.smc.method = SmcMethod::kSprt;
+  co.smc.threshold = 0.2;
+  co.smc.delta = 0.05;
+  FaultCampaign reference(synth_fn());
+  reference.run(base, total, co);
+
+  ScratchDir dir("steal_smc");
+  ShardOptions so;
+  so.dir = dir.str();
+  so.shard_count = 1;
+  so.lease_ttl_ms = 1500;
+  so.steal_after_ms = 150;
+  so.poll_ms = 20;
+  // The victim freezes on its 4th seed, live (heartbeating) but stuck.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool frozen = false, thawed = false;
+  const auto freezing_fn = [&](std::uint64_t seed) {
+    if (seed == base + 3) {
+      std::unique_lock<std::mutex> lk(mu);
+      frozen = true;
+      cv.notify_all();
+      cv.wait(lk, [&] { return thawed; });
+    }
+    return synth_run(seed);
+  };
+  ShardProgress pv, ps;
+  std::thread victim([&] {
+    ShardOptions v = so;
+    v.worker_id = "victim";
+    pv = run_sharded_campaign(freezing_fn, base, total, v, co);
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return frozen; });
+  }
+  std::thread survivor([&] {
+    ShardOptions v = so;
+    v.worker_id = "survivor";
+    ps = run_sharded_campaign(synth_fn(), base, total, v, co);
+  });
+  // Several patience windows pass with the victim frozen: a split would
+  // have been committed by now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    thawed = true;
+  }
+  cv.notify_all();
+  victim.join();
+  survivor.join();
+
+  EXPECT_EQ(ps.shards_stolen, 0u);
+  EXPECT_EQ(pv.shards_lost, 0u);
+  EXPECT_TRUE(pv.campaign_complete);
+  EXPECT_TRUE(ps.campaign_complete);
+  EXPECT_FALSE(std::filesystem::exists(tail_journal_of(dir.str(), 1, 8)));
+  const MergedFleet merged = merge_fleet(dir.str());
+  const MergedCell& cell = merged.cells.at(0);
+  ASSERT_TRUE(cell.decision.has_value());
+  FaultCampaign rebuilt(cell.results);
+  rebuilt.set_smc_verdict(cell.decision->spec, cell.decision->verdict);
+  EXPECT_EQ(csv_of(rebuilt), csv_of(reference));
+}
+
 TEST(ShardSteal, StolenUnitsSkewedVictimLeaseIsAdoptedExactlyOnce) {
   // Satellite of the clock-skew rule: after a steal, the victim's lease
   // (same owner, bumped epoch) with an mtime in the FUTURE beyond the TTL
@@ -1362,7 +1382,7 @@ TEST(ShardSteal, StolenUnitsSkewedVictimLeaseIsAdoptedExactlyOnce) {
   // truncated parent unit is never double-claimed.
   ScratchDir dir("steal_skew");
   write_manifest_for_test(dir.str(), 40, 10, 1);
-  const std::string lease_path = shard_lease_path(dir.str(), 0, 1);
+  const std::string lease_path = lease_of(dir.str(), 0, 1);
   auto victim = claim_shard_lease(lease_path, "victim", 10000);
   victim->reserve_through(0, 10);
   ASSERT_EQ(steal_shard_tail(dir.str(), 0, 10000, "thief").epoch, 1u);
@@ -1409,7 +1429,7 @@ TEST(ShardSteal, StolenUnitsSkewedVictimLeaseIsAdoptedExactlyOnce) {
 
 TEST(ShardSteal, ReleasedLeaseIsNeverCountedAsStalled) {
   ScratchDir dir("stall_clock");
-  const std::string stem = shard_lease_path(dir.str(), 0, 1);
+  const std::string stem = lease_of(dir.str(), 0, 1);
   const auto t0 = std::chrono::steady_clock::now();
   const auto at = [t0](int ms) { return t0 + std::chrono::milliseconds(ms); };
   StallTracker stalls;
@@ -1428,7 +1448,7 @@ TEST(ShardSteal, ReleasedLeaseIsNeverCountedAsStalled) {
   for (const int ms : {400, 500, 60000}) {
     EXPECT_FALSE(stalls.stalled(stem, 100, at(ms))) << ms;
   }
-  const std::string absent = shard_lease_path(dir.str(), 1, 2);
+  const std::string absent = lease_of(dir.str(), 1, 2);
   EXPECT_FALSE(stalls.stalled(absent, 100, at(0)));
   EXPECT_FALSE(stalls.stalled(absent, 100, at(60000)));
 }
@@ -1441,7 +1461,7 @@ TEST(ShardSteal, WorkerStealPassSplitsAFrozenStragglerEndToEnd) {
 
   ScratchDir dir("steal_e2e");
   write_manifest_for_test(dir.str(), base, total, 1);
-  const std::string lease_path = shard_lease_path(dir.str(), 0, 1);
+  const std::string lease_path = lease_of(dir.str(), 0, 1);
   // The straggler: live (heartbeating) but frozen after reserving its
   // first chunk — the exact shape SIGSTOP produces in the CI gate.
   auto victim = claim_shard_lease(lease_path, "victim", 10000);
@@ -1460,7 +1480,7 @@ TEST(ShardSteal, WorkerStealPassSplitsAFrozenStragglerEndToEnd) {
   // Wait for the survivor's steal pass to commit (child journal appears),
   // then let the victim notice, abort, and go stale so the parent can be
   // adopted instead of waited out.
-  const std::string child = shard_steal_journal_path(dir.str(), 0, 1, 1, 8);
+  const std::string child = tail_journal_of(dir.str(), 1, 8);
   for (int i = 0; i < 400 && !std::filesystem::exists(child); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   }
@@ -1473,14 +1493,14 @@ TEST(ShardSteal, WorkerStealPassSplitsAFrozenStragglerEndToEnd) {
   EXPECT_EQ(p.shards_stolen, 1u);
   EXPECT_TRUE(p.campaign_complete);
   EXPECT_EQ(p.runs_executed, total);
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_EQ(csv_of(FaultCampaign(merged.results)), csv_of(reference));
+  const MergedFleet merged = merge_fleet(dir.str());
+  EXPECT_EQ(csv_of(FaultCampaign(merged.cells[0].results)), csv_of(reference));
 }
 
 TEST(ShardStatus, StolenTailsRenderAsChildrenOfTheirShard) {
   ScratchDir dir("status_steal");
   write_manifest_for_test(dir.str(), 40, 10, 1);
-  auto victim = claim_shard_lease(shard_lease_path(dir.str(), 0, 1),
+  auto victim = claim_shard_lease(lease_of(dir.str(), 0, 1),
                                   "victim", 10000);
   victim->reserve_through(0, 10);
   ASSERT_EQ(steal_shard_tail(dir.str(), 0, 10000, "thief").split_at, 8u);
@@ -1505,10 +1525,10 @@ TEST(ShardMerge, EveryMissingShardIsListedInOneMessage) {
   so.shard_count = 4;
   so.worker_id = "builder";
   ASSERT_TRUE(run_sharded_campaign(synth_fn(), 0, 22, so).campaign_complete);
-  std::filesystem::remove(shard_journal_path(dir.str(), 1, 4));
-  std::filesystem::remove(shard_journal_path(dir.str(), 3, 4));
+  std::filesystem::remove(journal_of(dir.str(), 1, 4));
+  std::filesystem::remove(journal_of(dir.str(), 3, 4));
   try {
-    merge_shard_dir(dir.str());
+    merge_fleet(dir.str());
     FAIL() << "expected SimError(kMergeIncomplete)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
@@ -1522,12 +1542,12 @@ TEST(ShardMerge, EveryMissingShardIsListedInOneMessage) {
 TEST(ShardMerge, EveryQuarantinedUnitIsListedInOneMessage) {
   ScratchDir dir("quarantine_many");
   build_fleet(dir.str(), 0, 10);
-  put_lease(shard_lease_path(dir.str(), 0, 2),
+  put_lease(lease_of(dir.str(), 0, 2),
             lease_info("w0", 3, LeaseInfo::State::kQuarantined));
-  put_lease(shard_lease_path(dir.str(), 1, 2),
+  put_lease(lease_of(dir.str(), 1, 2),
             lease_info("w1", 3, LeaseInfo::State::kQuarantined));
   try {
-    merge_shard_dir(dir.str());
+    merge_fleet(dir.str());
     FAIL() << "expected SimError(kMergeIncomplete)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);

@@ -626,58 +626,67 @@ TEST(SmcJournal, ResumeRefusesADifferentHypothesisOrNoHypothesis) {
 
 TEST(SmcJournal, SingleShardMergeReproducesTheEarlyStoppedBytes) {
   const JournaledRun run = journaled_smc_run("merge");
-  const MergedCampaign merged = merge_journals({run.path}, MergeOptions{});
+  const std::string dir = temp_path("merge_fleet");
+  std::filesystem::remove_all(dir);
+  CampaignOptions co;
+  co.smc = sprt_spec(0.2, 0.05);
+  co.journal_tag = "smc-test";
+  ShardOptions so;
+  so.dir = dir;
+  so.shard_count = 1;
+  ASSERT_TRUE(run_sharded_campaign(
+                  [](std::uint64_t s) { return bernoulli_run(s, 0.9); }, 1000,
+                  500, so, co)
+                  .campaign_complete);
+  const MergedFleet merged = merge_fleet(dir, MergeOptions{});
+  const MergedCell& cell = merged.cells.at(0);
   EXPECT_TRUE(merged.complete);
-  ASSERT_TRUE(merged.decision.has_value());
-  EXPECT_EQ(merged.recorded_runs, merged.decision->executed);
-  EXPECT_LT(merged.recorded_runs, merged.runs);
+  ASSERT_TRUE(cell.decision.has_value());
+  EXPECT_EQ(cell.records, cell.decision->executed);
+  EXPECT_LT(cell.records, merged.manifest.runs);
 
-  FaultCampaign rebuilt(merged.results);
-  rebuilt.set_smc_verdict(merged.decision->spec, merged.decision->verdict);
+  FaultCampaign rebuilt(cell.results);
+  rebuilt.set_smc_verdict(cell.decision->spec, cell.decision->verdict);
   std::ostringstream csv;
   rebuilt.write_csv(csv);
   EXPECT_EQ(csv.str(), run.csv);
   std::filesystem::remove(run.path);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SmcJournal, MergeRefusesADecisionInAMultiShardLayout) {
-  // Hand-build a 2-shard journal that illegally carries a decision record:
-  // sequential campaigns are single-shard by construction, so the merge
-  // must treat this as corruption, not as a legal early stop.
-  const std::string path0 = temp_path("multishard0") + ".journal";
-  const std::string path1 = temp_path("multishard1") + ".journal";
-  std::filesystem::remove(path0);
-  std::filesystem::remove(path1);
-  for (const std::size_t shard : {std::size_t{0}, std::size_t{1}}) {
-    JournalHeader h;
-    h.total_runs = 64;
-    h.shard_index = shard;
-    h.shard_count = 2;
-    h.shard_begin = shard * 32;
-    h.base_seed = 1000 + h.shard_begin;
-    h.runs = 32;
-    h.tag = "smc-test";
-    JournalWriter w(shard == 0 ? path0 : path1, h);
-    for (std::size_t i = 0; i < 32; ++i) {
-      w.append(i, bernoulli_run(h.base_seed + i, 0.9));
-    }
-    if (shard == 0) {
-      JournalDecision d;
-      d.spec = sprt_spec(0.2, 0.05);
-      d.verdict.outcome = SmcOutcome::kReject;
-      d.verdict.samples_used = 16;
-      d.executed = 32;
-      w.append_decision(d);
-    }
+  // A 2-shard fleet whose shard 0 journal illegally carries a decision
+  // record: sequential campaigns are single-shard by construction, so the
+  // merge must treat this as corruption, not as a legal early stop.
+  const std::string dir = temp_path("multishard");
+  std::filesystem::remove_all(dir);
+  CampaignOptions co;
+  co.journal_tag = "smc-test";
+  ShardOptions so;
+  so.dir = dir;
+  so.shard_count = 2;
+  ASSERT_TRUE(run_sharded_campaign(
+                  [](std::uint64_t s) { return bernoulli_run(s, 0.9); }, 1000,
+                  64, so, co)
+                  .campaign_complete);
+  FleetManifest m = read_fleet_manifest(dir);
+  const std::string path0 = unit_stem(dir, m, Unit{}) + ".journal";
+  {
+    JournalDecision d;
+    d.spec = sprt_spec(0.2, 0.05);
+    d.verdict.outcome = SmcOutcome::kReject;
+    d.verdict.samples_used = 16;
+    d.executed = 32;
+    JournalWriter w(path0, read_journal(path0).valid_bytes);
+    w.append_decision(d);
   }
   try {
-    merge_journals({path0, path1}, MergeOptions{});
+    merge_fleet(dir, MergeOptions{});
     FAIL() << "multi-shard decision accepted";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
   }
-  std::filesystem::remove(path0);
-  std::filesystem::remove(path1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SmcJournal, SweepFleetPrunesCellsAndMergesByteIdentically) {
@@ -701,9 +710,9 @@ TEST(SmcJournal, SweepFleetPrunesCellsAndMergesByteIdentically) {
       run_sharded_sweep(mappings, scenarios, factory, 500, 256, so, co);
   EXPECT_TRUE(p.campaign_complete);
 
-  const MergedSweep merged = merge_sweep_dir(dir, MergeOptions{});
+  const MergedFleet merged = merge_fleet(dir, MergeOptions{});
   EXPECT_TRUE(merged.complete);
-  for (const MergedSweepCell& cell : merged.cells) {
+  for (const MergedCell& cell : merged.cells) {
     EXPECT_EQ(cell.state, CellState::kComplete);
     ASSERT_TRUE(cell.decision.has_value()) << cell.scenario;
     EXPECT_EQ(cell.runs, cell.decision->executed);
@@ -744,16 +753,19 @@ TEST(SmcJournal, PartialMergeKeepsDecidedCellsComplete) {
 
   // Lose the "cold" cell (grid index 1). Strict merge refuses; partial
   // merge keeps the decided "hot" cell complete with its verdict.
-  std::filesystem::remove(cell_journal_path(dir, 1, 2));
+  FleetManifest m = read_fleet_manifest(dir);
+  Unit cold;
+  cold.cell = 1;
+  std::filesystem::remove(unit_stem(dir, m, cold) + ".journal");
   try {
-    merge_sweep_dir(dir, MergeOptions{});
+    merge_fleet(dir, MergeOptions{});
     FAIL() << "strict merge accepted a missing cell";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
   }
   MergeOptions mo;
   mo.allow_partial = true;
-  const MergedSweep merged = merge_sweep_dir(dir, mo);
+  const MergedFleet merged = merge_fleet(dir, mo);
   EXPECT_FALSE(merged.complete);
   EXPECT_EQ(merged.cells[0].state, CellState::kComplete);
   EXPECT_TRUE(merged.cells[0].decision.has_value());

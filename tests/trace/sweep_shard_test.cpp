@@ -3,7 +3,7 @@
 // uninterrupted single-process CampaignSweep.
 //
 // The load-bearing claims pinned here:
-//   - a single worker walks every cell and merge_sweep_dir reproduces the
+//   - a single worker walks every cell and merge_fleet reproduces the
 //     in-process sweep's print() and write_csv() byte-for-byte;
 //   - the sweep manifest pins the grid identity: a worker whose seed, run
 //     count or grid disagrees refuses to participate (kBadConfig);
@@ -13,8 +13,9 @@
 //   - a quarantined cell is excluded from every claim pass, refuses a
 //     strict merge, and renders in a partial merge as an explicitly
 //     degraded grid (DEGRADED banner, '-' hole, state column in the CSV);
-//   - sweep_fleet_status classifies cells done/claimed/stale/quarantined/
-//     unclaimed from the shard directory alone, without writing to it.
+//   - fleet_status classifies cells — and, through the same walker,
+//     campaign shards — done/claimed/stale/quarantined/unclaimed from the
+//     fleet directory alone, without writing to it.
 
 #include "trace/shard.hpp"
 
@@ -119,16 +120,33 @@ std::string csv_of(const CampaignSweep& s) {
   return os.str();
 }
 
-std::string print_of(const MergedSweep& s) {
+std::string print_of(const MergedFleet& s) {
   std::ostringstream os;
   s.print(os);
   return os.str();
 }
 
-std::string csv_of(const MergedSweep& s) {
+std::string csv_of(const MergedFleet& s) {
   std::ostringstream os;
   s.write_csv(os);
   return os.str();
+}
+
+/// The journal / lease of grid cell `cell` in the sweep fleet at `dir`.
+std::string cell_stem(const std::string& dir, std::size_t cell) {
+  FleetManifest m;
+  m.shard_count = 1;
+  m.mappings = grid_mappings();
+  m.scenarios = grid_scenarios();
+  Unit u;
+  u.cell = cell;
+  return unit_stem(dir, m, u);
+}
+std::string cell_journal(const std::string& dir, std::size_t cell) {
+  return cell_stem(dir, cell) + ".journal";
+}
+std::string cell_lease(const std::string& dir, std::size_t cell) {
+  return cell_stem(dir, cell) + ".lease";
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -183,7 +201,7 @@ TEST(SweepShard, SingleWorkerMatchesTheInProcessSweepByteForByte) {
   EXPECT_EQ(p.shards_run, 6u);  // 2 mappings x 3 scenarios
   EXPECT_EQ(p.runs_executed, 6u * n);
 
-  const MergedSweep merged = merge_sweep_dir(dir.str());
+  const MergedFleet merged = merge_fleet(dir.str());
   EXPECT_TRUE(merged.complete);
   EXPECT_EQ(merged.complete_cells(), 6u);
   EXPECT_EQ(merged.quarantined_cells(), 0u);
@@ -267,14 +285,13 @@ TEST(SweepShard, TwoWorkersSplitTheGridWithZeroOverlap) {
   EXPECT_EQ(p0.shards_run + p1.shards_run, 6u);
 
   const CampaignSweep want = reference_sweep(base, n);
-  EXPECT_EQ(csv_of(merge_sweep_dir(dir.str())), csv_of(want));
+  EXPECT_EQ(csv_of(merge_fleet(dir.str())), csv_of(want));
 }
 
 TEST(SweepShard, AdoptionResumesAPartiallyJournaledCell) {
   ScratchDir dir("adopt");
   const std::uint64_t base = 30;
   const std::size_t n = 5;
-  const std::size_t cells = 6;
   const std::size_t cell = 1;  // shared/burst in grid order
 
   // A dead worker journaled cell 1's first two seeds. The header mirrors
@@ -291,11 +308,11 @@ TEST(SweepShard, AdoptionResumesAPartiallyJournaledCell) {
   h.worker_id = "dead-worker";
   {
     const std::uint64_t salt = cell_salt("shared", "burst");
-    JournalWriter w(cell_journal_path(dir.str(), cell, cells), h, 1);
+    JournalWriter w(cell_journal(dir.str(), cell), h, 1);
     w.append(0, synth_run(base, salt));
     w.append(1, synth_run(base + 1, salt));
   }
-  make_stale(put_lease(cell_lease_path(dir.str(), cell, cells),
+  make_stale(put_lease(cell_lease(dir.str(), cell),
                        "dead-worker", 0));
 
   std::mutex mu;
@@ -323,7 +340,40 @@ TEST(SweepShard, AdoptionResumesAPartiallyJournaledCell) {
   EXPECT_EQ(executed.count({"shared", "burst", base + 1}), 0u);
 
   const CampaignSweep want = reference_sweep(base, n);
-  EXPECT_EQ(csv_of(merge_sweep_dir(dir.str())), csv_of(want));
+  EXPECT_EQ(csv_of(merge_fleet(dir.str())), csv_of(want));
+}
+
+TEST(SweepShard, StolenCellTailIsAnOrdinaryUnitAndMergesByteIdentically) {
+  // A sweep cell is a unit like a campaign shard: its live owner's tail can
+  // be stolen, and the merge folds the cell back from both journals.
+  ScratchDir dir("steal");
+  const std::uint64_t base = 50;
+  const std::size_t n = 10;
+  ASSERT_TRUE(run_sharded_sweep(grid_mappings(), grid_scenarios(),
+                                synth_factory(), base, n,
+                                sweep_shard(dir.str(), 0, "builder"))
+                  .campaign_complete);
+  std::filesystem::remove(cell_journal(dir.str(), 0));
+  auto victim = claim_shard_lease(cell_lease(dir.str(), 0), "victim", 10000);
+  victim->reserve_through(0, n);  // watermark at the reserve chunk: 8
+  const StealResult s = steal_shard_tail(dir.str(), 0, 10000, "thief");
+  EXPECT_EQ(s.split_at, 8u);
+  EXPECT_EQ(read_journal(s.child_journal).header.tag, "shared/iid");
+  EXPECT_THROW(victim->assert_still_mine(), LeaseLostError);
+  victim->release();
+  LeaseInfo stolen;
+  ASSERT_TRUE(read_lease_info(cell_lease(dir.str(), 0), &stolen));
+  make_stale(lease_generation_path(cell_lease(dir.str(), 0),
+                                   stolen.generation));
+
+  const ShardProgress p =
+      run_sharded_sweep(grid_mappings(), grid_scenarios(), synth_factory(),
+                        base, n, sweep_shard(dir.str(), 0, "survivor"));
+  EXPECT_TRUE(p.campaign_complete);
+  const FleetStatus st = fleet_status(dir.str(), 10000);
+  EXPECT_EQ(st.entries.at(0).children, 1u);
+  EXPECT_EQ(st.entries.at(0).records, n);
+  EXPECT_EQ(csv_of(merge_fleet(dir.str())), csv_of(reference_sweep(base, n)));
 }
 
 // ---- quarantine & degraded merge ------------------------------------------
@@ -337,7 +387,7 @@ TEST(SweepShard, QuarantinedCellIsSkippedAndTheMergeDegradesExplicitly) {
 
   // The cell was quarantined by an earlier fleet generation: terminal lease
   // on disk before this worker starts. It must never claim the cell.
-  const std::string poison_lease = cell_lease_path(dir.str(), poison, cells);
+  const std::string poison_lease = cell_lease(dir.str(), poison);
   put_lease(poison_lease, "crashed-worker", 3,
             LeaseInfo::State::kQuarantined, "SIGKILL during run");
   const ShardProgress p =
@@ -354,7 +404,7 @@ TEST(SweepShard, QuarantinedCellIsSkippedAndTheMergeDegradesExplicitly) {
 
   // Strict merge refuses the quarantined cell by name.
   try {
-    merge_sweep_dir(dir.str());
+    merge_fleet(dir.str());
     FAIL() << "expected SimError(kMergeIncomplete)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
@@ -365,7 +415,7 @@ TEST(SweepShard, QuarantinedCellIsSkippedAndTheMergeDegradesExplicitly) {
 
   MergeOptions mo;
   mo.allow_partial = true;
-  const MergedSweep merged = merge_sweep_dir(dir.str(), mo);
+  const MergedFleet merged = merge_fleet(dir.str(), mo);
   EXPECT_FALSE(merged.complete);
   EXPECT_EQ(merged.complete_cells(), 5u);
   EXPECT_EQ(merged.quarantined_cells(), 1u);
@@ -403,12 +453,12 @@ TEST(SweepShard, PartialSweepMergeIsByteStableAcrossThreads) {
     ASSERT_TRUE(p.campaign_complete);
     // Lose one cell's journal entirely and quarantine another: the
     // degraded report must still be deterministic for any thread count.
-    std::filesystem::remove(cell_journal_path(dir.str(), 2, 6));
-    put_lease(cell_lease_path(dir.str(), 4, 6), "doomed", 3,
+    std::filesystem::remove(cell_journal(dir.str(), 2));
+    put_lease(cell_lease(dir.str(), 4), "doomed", 3,
               LeaseInfo::State::kQuarantined, "disk on fire");
     MergeOptions mo;
     mo.allow_partial = true;
-    const MergedSweep merged = merge_sweep_dir(dir.str(), mo);
+    const MergedFleet merged = merge_fleet(dir.str(), mo);
     EXPECT_FALSE(merged.complete);
     EXPECT_EQ(merged.cells[2].state, CellState::kMissing);
     EXPECT_EQ(merged.cells[4].state, CellState::kQuarantined);
@@ -427,69 +477,87 @@ TEST(SweepShard, PartialSweepMergeIsByteStableAcrossThreads) {
 // ---- read-only status -----------------------------------------------------
 
 TEST(SweepShard, StatusClassifiesEveryCellStateWithoutWriting) {
-  ScratchDir dir("status");
-  const std::uint64_t base = 77;
-  const std::size_t n = 4;
-  const std::size_t cells = 6;
-  const ShardProgress p =
-      run_sharded_sweep(grid_mappings(), grid_scenarios(), synth_factory(),
-                        base, n, sweep_shard(dir.str(), 0, "builder"));
-  ASSERT_TRUE(p.campaign_complete);
-
-  // Sculpt one cell into each non-done state.
-  std::filesystem::remove(cell_journal_path(dir.str(), 1, cells));  // unclaimed
-  std::filesystem::remove(cell_journal_path(dir.str(), 2, cells));
-  put_lease(cell_lease_path(dir.str(), 2, cells), "live-worker",
-            0);                                            // claimed (fresh)
-  std::filesystem::remove(cell_journal_path(dir.str(), 3, cells));
-  make_stale(put_lease(cell_lease_path(dir.str(), 3, cells), "dead-worker",
-                       1));                                // stale
-  put_lease(cell_lease_path(dir.str(), 4, cells), "doomed", 3,
-            LeaseInfo::State::kQuarantined, "poison cell");  // quarantined
-
-  const auto list_dir = [&] {
-    std::set<std::string> names;
-    for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
-      names.insert(e.path().filename().string());
+  // One walker serves both fleet kinds: the same six units sculpted into
+  // the same states, once as sweep cells and once as campaign shards.
+  for (const bool sweep : {true, false}) {
+    ScratchDir dir(sweep ? "status" : "status_campaign");
+    const std::uint64_t base = 77;
+    const std::size_t n = 4;
+    const std::size_t cells = 6;
+    ShardProgress p;
+    if (sweep) {
+      p = run_sharded_sweep(grid_mappings(), grid_scenarios(), synth_factory(),
+                            base, n, sweep_shard(dir.str(), 0, "builder"));
+    } else {
+      ShardOptions so = sweep_shard(dir.str(), 0, "builder");
+      so.shard_count = cells;
+      p = run_sharded_campaign(
+          [](std::uint64_t seed) { return synth_run(seed, 0); }, base,
+          cells * n, so);
     }
-    return names;
-  };
-  const std::set<std::string> before = list_dir();
+    ASSERT_TRUE(p.campaign_complete);
+    const FleetManifest m = read_fleet_manifest(dir.str());
+    const auto stem = [&](std::size_t i) {
+      Unit u;
+      (sweep ? u.cell : u.shard) = i;
+      return unit_stem(dir.str(), m, u);
+    };
 
-  const FleetStatus st = sweep_fleet_status(dir.str(), 10000);
-  EXPECT_EQ(st.units, cells);
-  EXPECT_EQ(st.done, 2u);  // cells 0 and 5 still hold complete journals
-  EXPECT_EQ(st.claimed, 1u);
-  EXPECT_EQ(st.stale, 1u);
-  EXPECT_EQ(st.quarantined, 1u);
-  EXPECT_EQ(st.unclaimed, 1u);
-  EXPECT_FALSE(st.fleet_done());
-  EXPECT_EQ(st.runs, cells * n);
+    // Sculpt one unit into each non-done state.
+    std::filesystem::remove(stem(1) + ".journal");  // unclaimed
+    std::filesystem::remove(stem(2) + ".journal");
+    put_lease(stem(2) + ".lease", "live-worker", 0);  // claimed (fresh)
+    std::filesystem::remove(stem(3) + ".journal");
+    make_stale(put_lease(stem(3) + ".lease", "dead-worker", 1));  // stale
+    put_lease(stem(4) + ".lease", "doomed", 3, LeaseInfo::State::kQuarantined,
+              "poison cell");  // quarantined
 
-  ASSERT_EQ(st.entries.size(), cells);
-  EXPECT_EQ(st.entries[0].state, ShardStatusEntry::State::kDone);
-  EXPECT_EQ(st.entries[0].name, "shared/iid");
-  EXPECT_EQ(st.entries[1].state, ShardStatusEntry::State::kUnclaimed);
-  EXPECT_EQ(st.entries[2].state, ShardStatusEntry::State::kClaimed);
-  EXPECT_EQ(st.entries[2].owner, "live-worker");
-  EXPECT_EQ(st.entries[3].state, ShardStatusEntry::State::kStale);
-  EXPECT_EQ(st.entries[3].adoptions, 1u);
-  EXPECT_GT(st.entries[3].heartbeat_age_ms, 0);
-  EXPECT_EQ(st.entries[4].state, ShardStatusEntry::State::kQuarantined);
-  EXPECT_EQ(st.entries[4].error, "poison cell");
-  EXPECT_EQ(st.entries[5].state, ShardStatusEntry::State::kDone);
+    const auto list_dir = [&] {
+      std::set<std::string> names;
+      for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
+        names.insert(e.path().filename().string());
+      }
+      return names;
+    };
+    const std::set<std::string> before = list_dir();
 
-  // Status must not have created, removed or renamed anything.
-  EXPECT_EQ(list_dir(), before);
+    const FleetStatus st = fleet_status(dir.str(), 10000);
+    EXPECT_EQ(st.units, cells);
+    EXPECT_EQ(st.done, 2u);  // units 0 and 5 still hold complete journals
+    EXPECT_EQ(st.claimed, 1u);
+    EXPECT_EQ(st.stale, 1u);
+    EXPECT_EQ(st.quarantined, 1u);
+    EXPECT_EQ(st.unclaimed, 1u);
+    EXPECT_FALSE(st.fleet_done());
+    EXPECT_EQ(st.runs, cells * n);
 
-  // The rendered summary names the states and the fleet-level counts.
-  std::ostringstream os;
-  print_fleet_status(os, st);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("fleet: 6 units"), std::string::npos) << text;
-  EXPECT_NE(text.find("1 quarantined"), std::string::npos) << text;
-  EXPECT_NE(text.find("split/burst"), std::string::npos) << text;
-  EXPECT_NE(text.find("error: poison cell"), std::string::npos) << text;
+    ASSERT_EQ(st.entries.size(), cells);
+    EXPECT_EQ(st.entries[0].state, ShardStatusEntry::State::kDone);
+    EXPECT_EQ(st.entries[0].name, sweep ? "shared/iid" : "shard 0/6");
+    EXPECT_EQ(st.entries[1].state, ShardStatusEntry::State::kUnclaimed);
+    EXPECT_EQ(st.entries[2].state, ShardStatusEntry::State::kClaimed);
+    EXPECT_EQ(st.entries[2].owner, "live-worker");
+    EXPECT_EQ(st.entries[3].state, ShardStatusEntry::State::kStale);
+    EXPECT_EQ(st.entries[3].adoptions, 1u);
+    EXPECT_GT(st.entries[3].heartbeat_age_ms, 0);
+    EXPECT_EQ(st.entries[4].state, ShardStatusEntry::State::kQuarantined);
+    EXPECT_EQ(st.entries[4].error, "poison cell");
+    EXPECT_EQ(st.entries[5].state, ShardStatusEntry::State::kDone);
+
+    // Status must not have created, removed or renamed anything.
+    EXPECT_EQ(list_dir(), before);
+
+    // The rendered summary names the states and the fleet-level counts.
+    std::ostringstream os;
+    print_fleet_status(os, st);
+    const std::string text = os.str();
+    EXPECT_NE(text.find("fleet: 6 units"), std::string::npos) << text;
+    EXPECT_NE(text.find("1 quarantined"), std::string::npos) << text;
+    EXPECT_NE(text.find(sweep ? "split/burst" : "shard 4/6"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("error: poison cell"), std::string::npos) << text;
+  }
 }
 
 TEST(SweepShard, FutureHeartbeatRendersAsClockSkewInStatus) {
@@ -500,14 +568,14 @@ TEST(SweepShard, FutureHeartbeatRendersAsClockSkewInStatus) {
       run_sharded_sweep(grid_mappings(), grid_scenarios(), synth_factory(),
                         base, n, sweep_shard(dir.str(), 0, "builder"));
   ASSERT_TRUE(p.campaign_complete);
-  std::filesystem::remove(cell_journal_path(dir.str(), 0, 6));
+  std::filesystem::remove(cell_journal(dir.str(), 0));
   const std::string lease =
-      put_lease(cell_lease_path(dir.str(), 0, 6), "skewed", 0);
+      put_lease(cell_lease(dir.str(), 0), "skewed", 0);
   std::filesystem::last_write_time(
       lease,
       std::filesystem::last_write_time(lease) + std::chrono::hours(1));
 
-  const FleetStatus st = sweep_fleet_status(dir.str(), 10000);
+  const FleetStatus st = fleet_status(dir.str(), 10000);
   // An hour in the future with a 10 s TTL is outside the alive window in
   // the skew direction: stale, age negative so a human can see why.
   EXPECT_EQ(st.entries[0].state, ShardStatusEntry::State::kStale);
@@ -519,7 +587,7 @@ TEST(SweepShard, FutureHeartbeatRendersAsClockSkewInStatus) {
 
 TEST(SweepShard, StatusOnAVirginDirectoryIsARefusalNotACrash) {
   ScratchDir dir("virgin");
-  EXPECT_THROW(sweep_fleet_status(dir.str(), 10000), SimError);
+  EXPECT_THROW(fleet_status(dir.str(), 10000), SimError);
 }
 
 }  // namespace
