@@ -111,7 +111,7 @@ BENCHMARK(BM_ArrayIndexingAnnotated);
 
 }  // namespace
 
-// JSON-context injection shared with the other benches (bench_context.cpp).
+// JSON-context injection (bench_context.cpp).
 void add_build_type_context();
 
 int main(int argc, char** argv) {

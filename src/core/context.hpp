@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 
 #include "core/cost_table.hpp"
 #include "core/dfg.hpp"
@@ -55,27 +54,6 @@ struct SegmentAccum {
   std::uint64_t epoch = 1;
   Dfg dfg;
 
-  // ---- segment replay cache (segment_cache.hpp) ----
-  // In replay mode every charge appends its op byte to the trace and skips
-  // the per-op accounting; the cache applies the memoized aggregate at the
-  // segment close. Validate mode traces AND charges, so the close can
-  // cross-check the recorded delta against a freshly charged one. The trace
-  // buffer is 4096-byte aligned with a capacity that is a multiple of 4096,
-  // so a single low-bits test per push covers both the grow check and the
-  // watchdog-probe cadence (one probe per 4096 charges, like charge()).
-  bool replaying = false;       ///< trace only; skip per-op accounting
-  bool tracing = false;         ///< validate mode: trace AND charge
-  bool trace_overflow = false;  ///< segment outgrew trace_limit: demoted
-  unsigned char* trace_pos = nullptr;
-  unsigned char* trace_begin = nullptr;
-  unsigned char* trace_end = nullptr;
-  std::size_t trace_limit = 0;  ///< set by the cache when it adopts the accum
-
-  SegmentAccum() = default;
-  SegmentAccum(const SegmentAccum&) = delete;
-  SegmentAccum& operator=(const SegmentAccum&) = delete;
-  ~SegmentAccum() { std::free(trace_begin); }
-
   /// Starts a fresh segment; bumping the epoch invalidates every stamp
   /// produced by earlier segments without touching the values themselves.
   void reset() {
@@ -84,14 +62,9 @@ struct SegmentAccum {
     op_count = 0;
     ++epoch;
     dfg.nodes.clear();
-    replaying = false;
-    tracing = false;
-    trace_overflow = false;
-    trace_pos = trace_begin;
   }
 
   double charge(Op op) {
-    if (tracing) trace_push(op);  // validate mode records the path too
     const double lat = (*table)[op];
     sum_cycles += lat;
     ++op_count;
@@ -103,33 +76,6 @@ struct SegmentAccum {
     if ((op_count & 0xFFFu) == 0u) detail::annotation_watchdog_probe();
     return lat;
   }
-
-  /// Replay-mode charge: one byte appended, nothing summed. The aligned
-  /// low-bits test fires trace_block_edge() once per 4096 pushes (and on the
-  /// very first push, when trace_pos is still null), which grows the buffer,
-  /// probes the wall-clock watchdog, and demotes the segment back to
-  /// conventional charging if it outgrows trace_limit.
-  void trace_push(Op op) {
-    unsigned char* p = trace_pos;
-    if ((reinterpret_cast<std::uintptr_t>(p) & 0xFFFu) == 0u) {
-      const bool was_replaying = replaying;
-      trace_block_edge();
-      if (!replaying && !tracing) {
-        // Demoted mid-segment (trace_limit): the fold covered every op
-        // already traced; this one still needs conventional accounting —
-        // unless the caller is charge() itself (validate mode), which
-        // accounts it right after we return.
-        if (was_replaying) charge(op);
-        return;
-      }
-      p = trace_pos;
-    }
-    *p = static_cast<unsigned char>(op);
-    trace_pos = p + 1;
-  }
-
-  /// Out-of-line slow path of trace_push (segment_cache.cpp).
-  void trace_block_edge();
 };
 
 /// The accumulator of the process currently executing, switched by the
@@ -152,14 +98,6 @@ inline std::uint32_t node_of(const SegmentAccum& acc, const Stamp& s) {
 inline void charge_binary(Op op, const Stamp& a, const Stamp& b, Stamp& out) {
   SegmentAccum* acc = tl_accum;
   if (acc == nullptr) return;
-  if (acc->replaying) {
-    // Segment replay cache fast path: the aggregate delta of this op stream
-    // is (or will be) memoized, so only the control-path trace is kept.
-    // Replay never coexists with ready tracking (see SegmentCache::arm), so
-    // no stamp bookkeeping is skipped that anyone would read.
-    acc->trace_push(op);
-    return;
-  }
   const double lat = acc->charge(op);
   if (!acc->track_ready) return;
   out.epoch = acc->epoch;

@@ -102,10 +102,6 @@ void Estimator::process_started(minisc::Process& p) {
     if (existing->name == p.name()) {
       existing->accum.reset();
       existing->seg_from = "entry";
-      if (existing->cache) {
-        existing->cache->arm(existing->accum, existing->seg_from,
-                             *existing->resource);
-      }
       p.user_data = existing.get();
       tl_accum = &existing->accum;
       return;
@@ -121,8 +117,6 @@ void Estimator::process_started(minisc::Process& p) {
     ctx->accum.record_dfg = hw->record_dfg();
   }
   ctx->record_instantaneous = instantaneous_requested_.count(p.name()) != 0;
-  ctx->cache = std::make_unique<SegmentCache>(cache_cfg_);
-  ctx->cache->arm(ctx->accum, ctx->seg_from, *ctx->resource);
   p.user_data = ctx.get();
   tl_accum = &ctx->accum;
   contexts_.push_back(std::move(ctx));
@@ -155,10 +149,6 @@ void Estimator::node_done(minisc::Process& p, minisc::NodeKind kind,
 void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
   SegmentAccum& a = ctx.accum;
   Resource& r = *ctx.resource;
-
-  // Replay-cache close: a traced segment gets its aggregate applied (hit) or
-  // recomputed-and-recorded (miss) before anyone reads the totals below.
-  if (ctx.cache) ctx.cache->resolve(a, ctx.seg_from, to);
 
   const double wc = a.sum_cycles;
   const double bc = a.track_ready ? a.max_ready : wc;
@@ -216,7 +206,6 @@ void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
 
   a.reset();
   ctx.seg_from = to;
-  if (ctx.cache) ctx.cache->arm(a, ctx.seg_from, r);
 }
 
 void Estimator::back_annotate_sw(ProcessCtx& ctx, SwResource& cpu,
@@ -378,12 +367,6 @@ Report Estimator::report() const {
                                 static_cast<double>(rep.sim_time.to_ps());
     rep.resources.push_back(row);
   }
-  for (const auto& r : resources_) {
-    const SegmentCacheStats s = segment_cache_stats_for_resource(r->name());
-    rep.cache.push_back({r->name(), s.hits, s.misses, s.bypassed,
-                         s.replayed_ops, s.cycles_saved, s.entries,
-                         s.kernel_builds, s.kernel_hits, s.kernel_ops_folded});
-  }
   return rep;
 }
 
@@ -459,32 +442,6 @@ const std::vector<Estimator::SegmentExecution>& Estimator::instantaneous(
     if (ctx->name == process_name) return ctx->executions;
   }
   return kEmpty;
-}
-
-SegmentCacheStats Estimator::segment_cache_stats() const {
-  SegmentCacheStats total;
-  for (const auto& ctx : contexts_) {
-    if (ctx->cache) total += ctx->cache->stats();
-  }
-  return total;
-}
-
-SegmentCacheStats Estimator::segment_cache_stats_for_resource(
-    const std::string& resource_name) const {
-  SegmentCacheStats total;
-  for (const auto& ctx : contexts_) {
-    if (ctx->cache && ctx->resource->name() == resource_name) {
-      total += ctx->cache->stats();
-    }
-  }
-  return total;
-}
-
-SegmentCache* Estimator::segment_cache_of(const std::string& process_name) {
-  for (const auto& ctx : contexts_) {
-    if (ctx->name == process_name) return ctx->cache.get();
-  }
-  return nullptr;
 }
 
 const Dfg& Estimator::segment_dfg(const std::string& process_name,

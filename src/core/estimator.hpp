@@ -10,7 +10,6 @@
 #include "core/context.hpp"
 #include "core/report.hpp"
 #include "core/resource.hpp"
-#include "core/segment_cache.hpp"
 #include "kernel/simulator.hpp"
 
 namespace scperf {
@@ -74,27 +73,6 @@ class Estimator final : public minisc::KernelHook {
 
   /// A resource by name (nullptr when absent), any kind.
   Resource* find_resource(const std::string& name) const;
-
-  // ---- segment replay cache ----
-
-  /// Overrides the replay-cache configuration (default: environment via
-  /// SegmentCacheConfig::from_env()). Must be called before any mapped
-  /// process starts — each process's cache is created at its first dispatch.
-  void set_segment_cache_config(const SegmentCacheConfig& cfg) {
-    cache_cfg_ = cfg;
-  }
-  const SegmentCacheConfig& segment_cache_config() const { return cache_cfg_; }
-
-  /// Replay-cache counters aggregated over all processes.
-  SegmentCacheStats segment_cache_stats() const;
-  /// Replay-cache counters aggregated over processes mapped to one resource
-  /// (campaign sweeps use this to confirm the cache never engaged on
-  /// fault-injected resources).
-  SegmentCacheStats segment_cache_stats_for_resource(
-      const std::string& resource_name) const;
-  /// One process's cache (nullptr for unmapped / never-started processes).
-  /// Exposed for tests (validate-mode perturbation).
-  SegmentCache* segment_cache_of(const std::string& process_name);
 
   // ---- results ----
 
@@ -166,7 +144,6 @@ class Estimator final : public minisc::KernelHook {
     Resource* resource = nullptr;
     double priority = 0.0;
     SegmentAccum accum;
-    std::unique_ptr<SegmentCache> cache;
     std::string seg_from = "entry";
     double total_cycles = 0.0;
     minisc::Time total_time;
@@ -192,7 +169,6 @@ class Estimator final : public minisc::KernelHook {
                                    minisc::Time delay);
 
   minisc::Simulator& sim_;
-  SegmentCacheConfig cache_cfg_ = SegmentCacheConfig::from_env();
   std::vector<std::unique_ptr<Resource>> resources_;
   std::map<std::string, std::pair<Resource*, double>> mapping_;
   std::set<std::string> instantaneous_requested_;

@@ -35,7 +35,6 @@ double Resource::utilization(minisc::Time total) const {
 
 void Resource::add_downtime(minisc::Time start, minisc::Time end) {
   if (end <= start) return;
-  memo_unsafe_ = true;  // downtime stretch is execution-time-dependent
   downtime_.emplace_back(start, end);
   std::sort(downtime_.begin(), downtime_.end());
   // Merge overlapping / adjacent windows so the walk in

@@ -98,18 +98,6 @@ class Resource {
     return fault_cycles_ * fault_pj_per_cycle_;
   }
 
-  // ---- segment replay cache soundness ----
-
-  /// Marks this resource as unsafe for segment-replay memoization: per-op
-  /// charges on it are execution-time-dependent (pulse glitches write
-  /// fault_cycles mid-segment, downtime stretches HW critical paths, crash
-  /// kills leave partial segments whose trace is never resolved). The fault
-  /// injector sets this for every pulse / outage / downtime / crash target;
-  /// add_downtime() sets it directly. Sticky for the resource's lifetime —
-  /// the cache must never engage on a resource that *may* be faulted.
-  void set_memo_unsafe() { memo_unsafe_ = true; }
-  bool memo_unsafe() const { return memo_unsafe_; }
-
  private:
   std::string name_;
   ResourceKind kind_;
@@ -121,7 +109,6 @@ class Resource {
   std::vector<std::pair<minisc::Time, minisc::Time>> downtime_;  ///< sorted
   double fault_pj_per_cycle_ = 0.0;
   double fault_cycles_ = 0.0;
-  bool memo_unsafe_ = false;
 };
 
 /// How a sequential resource picks the next segment when several processes

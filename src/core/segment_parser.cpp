@@ -13,28 +13,6 @@ std::string ProcessGraph::segment_name(const GraphSegment& s) const {
          nodes[s.to].label.substr(1);
 }
 
-std::string GraphNode::runtime_label() const {
-  // Mirrors Estimator::node_label so static arcs and dynamic segment ids
-  // (and therefore replay-cache keys) live in the same name space.
-  switch (kind) {
-    case Kind::kEntry:
-      return "entry";
-    case Kind::kChannelRead:
-      return channel + ":r";
-    case Kind::kChannelWrite:
-      return channel + ":w";
-    case Kind::kTimedWait:
-      return "wait";
-    case Kind::kExit:
-      return "exit";
-  }
-  return "?";
-}
-
-std::string ProcessGraph::runtime_segment_id(const GraphSegment& s) const {
-  return nodes[s.from].runtime_label() + "->" + nodes[s.to].runtime_label();
-}
-
 const GraphNode& ProcessGraph::node(const std::string& label) const {
   for (const GraphNode& n : nodes) {
     if (n.label == label) return n;

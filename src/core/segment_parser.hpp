@@ -31,13 +31,6 @@ struct GraphNode {
   std::size_t line = 0;  ///< 1-based source line
   /// Nesting depth of enclosing loops at this node (used for back edges).
   int loop_depth = 0;
-
-  /// The label the *runtime* estimator gives this node when the process
-  /// executes: "entry" / "exit" for the pseudo-nodes, "<channel>:r" /
-  /// "<channel>:w" for channel accesses, "wait" for timed waits. This is
-  /// also the key space of the segment replay cache, so the static graph
-  /// can predict which dynamic segment ids a process will produce.
-  std::string runtime_label() const;
 };
 
 /// One segment: an arc between two nodes (the paper's Si-j).
@@ -55,9 +48,6 @@ struct ProcessGraph {
                    const std::string& to_label) const;
   /// "S0-1"-style name of a segment, from its node labels (paper Fig. 1).
   std::string segment_name(const GraphSegment& s) const;
-  /// The dynamic "from->to" id the estimator (and the segment replay cache)
-  /// uses for this arc, built from the nodes' runtime labels.
-  std::string runtime_segment_id(const GraphSegment& s) const;
 
   /// Renders the graph in Graphviz dot format.
   void write_dot(std::ostream& os) const;

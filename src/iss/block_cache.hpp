@@ -55,9 +55,7 @@ struct BlockCacheStats {
 /// branch, register jump, halt, loop closure or length cap — so steady-state
 /// loop iterations charge per *block* instead of per *instruction*, and the
 /// Machine's fast path can execute the block architecturally in a tight loop
-/// with no per-instruction fetch/halt/trace/costing checks. This is the
-/// sub-segment analogue of scperf::SegmentCache (DESIGN.md §4): the same
-/// arm/resolve shape, the same soundness-bypass discipline, one level lower.
+/// with no per-instruction fetch/halt/trace/costing checks (DESIGN.md §4).
 ///
 /// Key derivation. An entry is keyed by (entry PC, exit PC) — which pins the
 /// exact instruction sequence *and* the branch outcome, since a conditional

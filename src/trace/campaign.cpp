@@ -445,10 +445,6 @@ CampaignReport FaultCampaign::report() const {
                       r.recovery_latencies_ns.end());
     rep.mean_energy_pj += r.energy_pj;
     rep.mean_fault_energy_pj += r.fault_energy_pj;
-    rep.cache_hits += r.cache_hits;
-    rep.cache_misses += r.cache_misses;
-    rep.cache_bypassed += r.cache_bypassed;
-    rep.cache_cycles_saved += r.cache_cycles_saved;
     const double w = std::exp(r.log_weight);
     if (r.log_weight != 0.0) any_weighted = true;
     const double m =
@@ -500,7 +496,7 @@ CampaignReport FaultCampaign::report() const {
   return rep;
 }
 
-void CampaignReport::print(std::ostream& os, bool with_cache_stats) const {
+void CampaignReport::print(std::ostream& os, bool) const {
   os << "fault campaign: " << runs << " runs (" << failed_runs
      << " failed)\n";
   if (retried_runs > 0) {
@@ -550,14 +546,9 @@ void CampaignReport::print(std::ostream& os, bool with_cache_stats) const {
     os << "  energy:    mean " << mean_energy_pj << " pJ/run, of which "
        << mean_fault_energy_pj << " pJ fault overhead\n";
   }
-  if (with_cache_stats) {
-    os << "  seg-cache: " << cache_hits << " hits, " << cache_misses
-       << " misses, " << cache_bypassed << " bypassed, " << cache_cycles_saved
-       << " cycles saved\n";
-  }
 }
 
-void FaultCampaign::write_csv(std::ostream& os, bool with_cache_stats) const {
+void FaultCampaign::write_csv(std::ostream& os, bool) const {
   if (smc_verdict_) {
     // The verdict travels with the per-run data as a comment row, so a CSV
     // with fewer rows than the nominal budget is self-explaining (and the
@@ -573,11 +564,7 @@ void FaultCampaign::write_csv(std::ostream& os, bool with_cache_stats) const {
   }
   os << "seed,completed,makespan_ns,deadline_total,deadline_missed,"
         "faults_injected,recovery_samples,mean_recovery_ns,log_weight,"
-        "weight,energy_pj,fault_energy_pj,value_hash,attempts";
-  if (with_cache_stats) {
-    os << ",cache_hits,cache_misses,cache_bypassed,cache_cycles_saved";
-  }
-  os << '\n';
+        "weight,energy_pj,fault_energy_pj,value_hash,attempts\n";
   for (const CampaignRunResult& r : results_) {
     const Summary rec = summarize(r.recovery_latencies_ns);
     os << r.seed << ',' << (r.completed ? 1 : 0) << ','
@@ -585,12 +572,8 @@ void FaultCampaign::write_csv(std::ostream& os, bool with_cache_stats) const {
        << r.deadline_missed << ',' << r.faults_injected << ','
        << rec.count << ',' << rec.mean << ',' << r.log_weight << ','
        << std::exp(r.log_weight) << ',' << r.energy_pj << ','
-       << r.fault_energy_pj << ',' << r.value_hash << ',' << r.attempts;
-    if (with_cache_stats) {
-      os << ',' << r.cache_hits << ',' << r.cache_misses << ','
-         << r.cache_bypassed << ',' << r.cache_cycles_saved;
-    }
-    os << '\n';
+       << r.fault_energy_pj << ',' << r.value_hash << ',' << r.attempts
+       << '\n';
   }
 }
 
@@ -726,7 +709,7 @@ void CampaignSweep::print(std::ostream& os) const {
   }
 }
 
-void CampaignSweep::write_csv(std::ostream& os, bool with_cache_stats) const {
+void CampaignSweep::write_csv(std::ostream& os) const {
   // The smc columns appear only when some cell actually ran under a
   // sequential spec, so smc-free sweeps keep their historical CSV bytes.
   bool any_smc = false;
@@ -736,9 +719,6 @@ void CampaignSweep::write_csv(std::ostream& os, bool with_cache_stats) const {
         "mean_fault_energy_pj";
   if (any_smc) {
     os << ",smc_outcome,smc_samples_used";
-  }
-  if (with_cache_stats) {
-    os << ",cache_hits,cache_misses,cache_bypassed,cache_cycles_saved";
   }
   os << '\n';
   for (const Cell& c : cells_) {
@@ -754,10 +734,6 @@ void CampaignSweep::write_csv(std::ostream& os, bool with_cache_stats) const {
       } else {
         os << ",-,0";
       }
-    }
-    if (with_cache_stats) {
-      os << ',' << c.report.cache_hits << ',' << c.report.cache_misses << ','
-         << c.report.cache_bypassed << ',' << c.report.cache_cycles_saved;
     }
     os << '\n';
   }

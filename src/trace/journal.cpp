@@ -140,10 +140,6 @@ std::string encode_run(std::size_t index, const CampaignRunResult& r) {
   put_double(out, r.energy_pj);
   put_double(out, r.fault_energy_pj);
   put_u64(out, r.value_hash);
-  put_u64(out, r.cache_hits);
-  put_u64(out, r.cache_misses);
-  put_u64(out, r.cache_bypassed);
-  put_double(out, r.cache_cycles_saved);
   return out;
 }
 
@@ -315,10 +311,6 @@ JournalContents read_journal(const std::string& path) {
       rec.result.energy_pj = c.f64();
       rec.result.fault_energy_pj = c.f64();
       rec.result.value_hash = c.u64();
-      rec.result.cache_hits = c.u64();
-      rec.result.cache_misses = c.u64();
-      rec.result.cache_bypassed = c.u64();
-      rec.result.cache_cycles_saved = c.f64();
       if (!c.done()) throw_corrupt(path, record, "has a malformed payload");
       out.records.push_back(std::move(rec));
     }

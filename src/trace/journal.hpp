@@ -17,7 +17,7 @@ namespace sctrace {
 /// A campaign that runs thousands of seeds must survive the realities of
 /// long runs: a host crash, an OOM kill, a CI timeout. The journal makes
 /// each completed seed durable the moment it finishes, so an interrupted
-/// campaign resumes by replaying the recorded runs bit-exactly and
+/// campaign resumes by reading the recorded runs back bit-exactly and
 /// re-running only the missing ones — report() and write_csv() come out
 /// byte-identical to an uninterrupted run.
 ///
@@ -53,12 +53,12 @@ namespace sctrace {
 /// from a live straggler, the lease incarnation (steal epoch) that created
 /// it — provenance for operators; merge places every journal by its range.
 ///
-/// Format version 3 is the only one: read_journal refuses every other
+/// Format version 4 is the only one: read_journal refuses every other
 /// version with SimError(kShardVersionMismatch) naming both versions —
 /// journals from different releases refuse to mix.
 struct JournalHeader {
   /// The format this build writes and the only one read_journal accepts.
-  static constexpr std::uint32_t kVersion = 3;
+  static constexpr std::uint32_t kVersion = 4;
 
   std::uint32_t version = kVersion;
   std::uint64_t base_seed = 0;

@@ -1251,13 +1251,10 @@ bool same_result(const CampaignRunResult& a, const CampaignRunResult& b) {
       a.deadline_total != b.deadline_total ||
       a.deadline_missed != b.deadline_missed ||
       a.faults_injected != b.faults_injected ||
-      a.value_hash != b.value_hash || a.cache_hits != b.cache_hits ||
-      a.cache_misses != b.cache_misses ||
-      a.cache_bypassed != b.cache_bypassed ||
+      a.value_hash != b.value_hash ||
       !bits_equal(a.log_weight, b.log_weight) ||
       !bits_equal(a.energy_pj, b.energy_pj) ||
       !bits_equal(a.fault_energy_pj, b.fault_energy_pj) ||
-      !bits_equal(a.cache_cycles_saved, b.cache_cycles_saved) ||
       a.recovery_latencies_ns.size() != b.recovery_latencies_ns.size()) {
     return false;
   }

@@ -50,6 +50,14 @@ constexpr int kFrames = 12;
 constexpr double kNominalDrop = 0.05;
 constexpr double kBiasedDrop = 0.30;
 
+/// Pool options: `threads` workers claiming `chunk` seeds at a time.
+CampaignOptions pooled(std::size_t threads, std::size_t chunk) {
+  CampaignOptions o;
+  o.threads = threads;
+  o.chunk = chunk;
+  return o;
+}
+
 scfault::ChannelFaultSpec drop_spec(double p) {
   return {"link", p, 0.0, 0.0, Time::zero(), Time::zero(), {}};
 }
@@ -172,7 +180,7 @@ void expect_thread_count_invariant(const FaultCampaign::RunFn& fn,
   for (const std::size_t threads : {1u, 2u, 8u}) {
     for (const std::size_t chunk : {1u, 4u}) {
       FaultCampaign parallel(fn);
-      parallel.run(base_seed, n, CampaignOptions{.threads = threads, .chunk = chunk});
+      parallel.run(base_seed, n, pooled(threads, chunk));
       EXPECT_EQ(csv_of(parallel), want_csv)
           << threads << " threads, chunk " << chunk;
       EXPECT_EQ(printed_report(parallel.report()), want_report)
@@ -189,7 +197,7 @@ TEST(CampaignParallel, SimErrorMidCampaignIsThreadCountInvariant) {
   expect_thread_count_invariant(faulty_fn(), 0, 15);
 
   FaultCampaign c(faulty_fn());
-  c.run(0, 15, CampaignOptions{.threads = 8, .chunk = 1});
+  c.run(0, 15, pooled(8, 1));
   const CampaignReport rep = c.report();
   EXPECT_EQ(rep.runs, 15u);
   EXPECT_EQ(rep.failed_runs, 3u);  // seeds 3, 8, 13
@@ -203,7 +211,7 @@ TEST(CampaignParallel, ImportanceSampledFieldsMatchExactly) {
   FaultCampaign seq(weighted_fn());
   seq.run(7, 10);
   FaultCampaign par(weighted_fn());
-  par.run(7, 10, CampaignOptions{.threads = 8, .chunk = 2});
+  par.run(7, 10, pooled(8, 2));
   const CampaignReport a = seq.report();
   const CampaignReport b = par.report();
   ASSERT_TRUE(a.importance_sampled);
@@ -231,7 +239,7 @@ TEST(CampaignParallel, RuleOfThreeBoundSurvivesParallelism) {
   FaultCampaign seq(fn);
   seq.run(0, 25);
   FaultCampaign par(fn);
-  par.run(0, 25, CampaignOptions{.threads = 8, .chunk = 3});
+  par.run(0, 25, pooled(8, 3));
   EXPECT_EQ(seq.report().miss_rate_ci95, 3.0 / 100.0);
   EXPECT_EQ(par.report().miss_rate_ci95, seq.report().miss_rate_ci95);
   EXPECT_EQ(csv_of(par), csv_of(seq));
@@ -244,8 +252,8 @@ TEST(CampaignParallel, AppendingRunsKeepsSlotOrder) {
   seq.run(0, 4);
   seq.run(50, 4);
   FaultCampaign par(plain_fn());
-  par.run(0, 4, CampaignOptions{.threads = 2, .chunk = 1});
-  par.run(50, 4, CampaignOptions{.threads = 8, .chunk = 2});
+  par.run(0, 4, pooled(2, 1));
+  par.run(50, 4, pooled(8, 2));
   EXPECT_EQ(csv_of(par), csv_of(seq));
   ASSERT_EQ(par.results().size(), 8u);
   EXPECT_EQ(par.results()[4].seed, 50u);
@@ -265,7 +273,7 @@ TEST(CampaignParallel, SweepGridIsThreadCountInvariant) {
   CampaignSweep seq({"fast", "slow"}, {"clean", "lossy"}, factory);
   seq.run(1, 6);
   CampaignSweep par({"fast", "slow"}, {"clean", "lossy"}, factory);
-  par.run(1, 6, CampaignOptions{.threads = 8, .chunk = 1});
+  par.run(1, 6, pooled(8, 1));
 
   std::ostringstream seq_csv, par_csv, seq_grid, par_grid;
   seq.write_csv(seq_csv);
@@ -303,7 +311,7 @@ TEST(CampaignParallel, SeedStabilityHashesPinnedInBothModes) {
   FaultCampaign seq(weighted_fn());
   seq.run(11, 4);
   FaultCampaign par(weighted_fn());
-  par.run(11, 4, CampaignOptions{.threads = 8, .chunk = 1});
+  par.run(11, 4, pooled(8, 1));
 
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(seq.results()[i].value_hash, kPinned[i].hash)

@@ -49,7 +49,7 @@ std::string temp_journal(const std::string& name) {
 }
 
 /// Deterministic synthetic run: exercises every record field, including the
-/// importance-sampling weight and the replay-cache counters, with values
+/// importance-sampling weight, with values
 /// whose doubles are not exactly representable in decimal — the round-trip
 /// must be bit-exact, not pretty-printed.
 CampaignRunResult synth_run(std::uint64_t seed) {
@@ -67,10 +67,6 @@ CampaignRunResult synth_run(std::uint64_t seed) {
   r.energy_pj = 1234.5 + 0.1 * static_cast<double>(seed);
   r.fault_energy_pj = 12.25 + static_cast<double>(seed);
   r.value_hash = 0x9e3779b97f4a7c15ull * (seed + 1);
-  r.cache_hits = seed * 2;
-  r.cache_misses = seed % 2;
-  r.cache_bypassed = seed % 7;
-  r.cache_cycles_saved = 0.5 * static_cast<double>(seed);
   return r;
 }
 
@@ -78,9 +74,9 @@ FaultCampaign::RunFn synth_fn() {
   return [](std::uint64_t seed) { return synth_run(seed); };
 }
 
-std::string csv_of(const FaultCampaign& c, bool with_cache = false) {
+std::string csv_of(const FaultCampaign& c) {
   std::ostringstream os;
-  c.write_csv(os, with_cache);
+  c.write_csv(os);
   return os.str();
 }
 
@@ -142,10 +138,6 @@ TEST(Journal, RoundTripsEveryFieldBitExactly) {
     EXPECT_EQ(have.energy_pj, want.energy_pj);
     EXPECT_EQ(have.fault_energy_pj, want.fault_energy_pj);
     EXPECT_EQ(have.value_hash, want.value_hash);
-    EXPECT_EQ(have.cache_hits, want.cache_hits);
-    EXPECT_EQ(have.cache_misses, want.cache_misses);
-    EXPECT_EQ(have.cache_bypassed, want.cache_bypassed);
-    EXPECT_EQ(have.cache_cycles_saved, want.cache_cycles_saved);
   }
   std::remove(path.c_str());
 }
@@ -324,7 +316,7 @@ TEST(Journal, UnknownFutureVersionIsRefusedNamingBothVersions) {
     EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
     const std::string what = e.what();
     EXPECT_NE(what.find("version 99"), std::string::npos) << what;
-    EXPECT_NE(what.find("reads only version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("reads only version 4"), std::string::npos) << what;
   }
   std::remove(path.c_str());
 }
@@ -332,8 +324,8 @@ TEST(Journal, UnknownFutureVersionIsRefusedNamingBothVersions) {
 // ---- resume equivalence ---------------------------------------------------
 
 /// Runs the reference (journal-free) campaign, then for each thread count an
-/// interrupted + resumed pair, asserting byte-identical CSV (with and
-/// without cache columns) and byte-identical printed report.
+/// interrupted + resumed pair, asserting byte-identical CSV and
+/// byte-identical printed report.
 void expect_resume_equivalence(std::size_t interrupt_at) {
   const std::size_t n = 12;
   const std::uint64_t base = 40;
@@ -341,7 +333,6 @@ void expect_resume_equivalence(std::size_t interrupt_at) {
   FaultCampaign reference(synth_fn());
   reference.run(base, n);
   const std::string want_csv = csv_of(reference);
-  const std::string want_cache_csv = csv_of(reference, true);
   const std::string want_report = printed_report(reference);
 
   for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
@@ -380,7 +371,6 @@ void expect_resume_equivalence(std::size_t interrupt_at) {
     EXPECT_EQ(executed.load(), n - before.records.size())
         << threads << " threads: resumed campaign re-ran a recorded seed";
     EXPECT_EQ(csv_of(resumed), want_csv) << threads << " threads";
-    EXPECT_EQ(csv_of(resumed, true), want_cache_csv) << threads << " threads";
     EXPECT_EQ(printed_report(resumed), want_report) << threads << " threads";
 
     // The journal now covers the full campaign: a second resume replays

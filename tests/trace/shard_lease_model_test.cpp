@@ -176,7 +176,7 @@ class Explorer {
   }
 
   /// Picks the actor that takes the next step (-1 once all have ended):
-  /// the recorded choice when replaying a prefix, otherwise the first
+  /// the recorded choice while a prefix is replayed, otherwise the first
   /// actor not asleep, recording a new frame to branch from later.
   int decide() {
     std::vector<int> enabled;

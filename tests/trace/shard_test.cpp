@@ -800,7 +800,7 @@ TEST(ShardMerge, OldFormatVersionsAreRefusedNamingBothVersions) {
     EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
     const std::string what = e.what();
     EXPECT_NE(what.find("version 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
   }
 }
 
