@@ -73,17 +73,37 @@ Resource* Estimator::find_resource(const std::string& name) const {
   return nullptr;
 }
 
-std::string Estimator::node_label(minisc::NodeKind kind, const char* label) {
-  using minisc::NodeKind;
-  switch (kind) {
-    case NodeKind::kChannelRead:
-      return std::string(label) + ":r";
-    case NodeKind::kChannelWrite:
-      return std::string(label) + ":w";
-    case NodeKind::kTimedWait:
-      return "wait";
+std::string Estimator::node_name(minisc::NodeKind kind, const char* label) {
+  if (kind == minisc::NodeKind::kTimedWait) return "wait";
+  std::string name = label;
+  name += kind == minisc::NodeKind::kChannelRead ? ":r" : ":w";
+  return name;
+}
+
+std::uint32_t Estimator::intern_node(ProcessCtx& ctx, minisc::NodeKind kind,
+                                     const char* label) {
+  const bool named = kind != minisc::NodeKind::kTimedWait;
+  for (std::uint32_t i = kExitNode + 1; i < ctx.nodes.size(); ++i) {
+    const Node& n = ctx.nodes[i];
+    if (n.kind == kind && (!named || n.label == label)) return i;
   }
-  return "?";
+  ctx.nodes.push_back({kind, named ? label : "", node_name(kind, label), {}});
+  return static_cast<std::uint32_t>(ctx.nodes.size() - 1);
+}
+
+std::uint32_t Estimator::segment_to(ProcessCtx& ctx, std::uint32_t to,
+                                    double cycles) {
+  for (const auto& [next, index] : ctx.nodes[ctx.seg_from].out) {
+    if (next == to) return index;
+  }
+  const auto index = static_cast<std::uint32_t>(ctx.segments.size());
+  ctx.nodes[ctx.seg_from].out.emplace_back(to, index);
+  Segment& seg = ctx.segments.emplace_back();
+  seg.stats.from = ctx.nodes[ctx.seg_from].name;
+  seg.stats.to = ctx.nodes[to].name;
+  seg.stats.cycles_min = cycles;
+  seg.stats.cycles_max = cycles;
+  return index;
 }
 
 void Estimator::process_started(minisc::Process& p) {
@@ -101,7 +121,7 @@ void Estimator::process_started(minisc::Process& p) {
   for (const auto& existing : contexts_) {
     if (existing->name == p.name()) {
       existing->accum.reset();
-      existing->seg_from = "entry";
+      existing->seg_from = kEntryNode;
       p.user_data = existing.get();
       tl_accum = &existing->accum;
       return;
@@ -117,6 +137,10 @@ void Estimator::process_started(minisc::Process& p) {
     ctx->accum.record_dfg = hw->record_dfg();
   }
   ctx->record_instantaneous = instantaneous_requested_.count(p.name()) != 0;
+  // kEntryNode and kExitNode; their kind is never matched.
+  for (const char* name : {"entry", "exit"}) {
+    ctx->nodes.push_back({minisc::NodeKind::kTimedWait, "", name, {}});
+  }
   p.user_data = ctx.get();
   tl_accum = &ctx->accum;
   contexts_.push_back(std::move(ctx));
@@ -128,12 +152,14 @@ void Estimator::process_resumed(minisc::Process& p) {
 }
 
 void Estimator::process_finished(minisc::Process& p) {
-  if (ProcessCtx* ctx = ctx_of(p)) close_segment(*ctx, "exit");
+  if (ProcessCtx* ctx = ctx_of(p)) close_segment(*ctx, kExitNode);
 }
 
 void Estimator::node_reached(minisc::Process& p, minisc::NodeKind kind,
                              const char* label) {
-  if (ProcessCtx* ctx = ctx_of(p)) close_segment(*ctx, node_label(kind, label));
+  if (ProcessCtx* ctx = ctx_of(p)) {
+    close_segment(*ctx, intern_node(*ctx, kind, label));
+  }
 }
 
 void Estimator::node_done(minisc::Process& p, minisc::NodeKind kind,
@@ -146,7 +172,7 @@ void Estimator::node_done(minisc::Process& p, minisc::NodeKind kind,
   (void)label;
 }
 
-void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
+void Estimator::close_segment(ProcessCtx& ctx, std::uint32_t to) {
   SegmentAccum& a = ctx.accum;
   Resource& r = *ctx.resource;
 
@@ -159,16 +185,9 @@ void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
   }
 
   // ---- segment statistics ----
-  const std::string id = ctx.seg_from + "->" + to;
-  auto [it, inserted] = ctx.segments.try_emplace(id);
-  SegmentStats& st = it->second;
-  if (inserted) {
-    st.from = ctx.seg_from;
-    st.to = to;
-    st.cycles_min = cycles;
-    st.cycles_max = cycles;
-    ctx.segment_order.push_back(id);
-  }
+  const std::uint32_t seg_index = segment_to(ctx, to, cycles);
+  Segment& seg = ctx.segments[seg_index];
+  SegmentStats& st = seg.stats;
   ++st.count;
   st.cycles_sum += cycles;
   st.cycles_sq_sum += cycles * cycles;
@@ -176,13 +195,13 @@ void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
   st.cycles_max = std::max(st.cycles_max, cycles);
   st.bc_cycles_sum += bc;
   st.wc_cycles_sum += wc;
-  if (a.record_dfg && !a.dfg.empty()) ctx.segment_dfgs[id] = a.dfg;
+  if (a.record_dfg && !a.dfg.empty()) seg.dfg = a.dfg;
 
   ctx.total_cycles += cycles;
   ctx.ops_executed += a.op_count;
   ++ctx.segments_executed;
   if (ctx.record_instantaneous) {
-    ctx.executions.push_back({id, cycles, sim_.now()});
+    ctx.executions.push_back({seg_index, cycles, sim_.now()});
   }
 
   // ---- back-annotation (§4) ----
@@ -220,52 +239,14 @@ void Estimator::back_annotate_sw(ProcessCtx& ctx, SwResource& cpu,
   //  process has to be repeated until the resource is empty because another
   //  process can take up the resource while it is waiting." (§4)
   //
-  // The contention set implements the resource's scheduling policy on top of
-  // the paper's polling loop: when the processor frees while several
-  // segments are waiting, the policy decides which contender claims it.
+  // The resource runs that loop on the process's behalf: the segment
+  // registers and waits once, and the resource grants the processor under
+  // its scheduling policy when it frees (SwResource::occupy).
   const minisc::Time rtos = cpu.cycles_to_time(cpu.rtos_cycles_per_switch());
   if (delay.is_zero() && rtos.is_zero()) {
     return;  // an empty segment executes nothing: no processor occupation
   }
-  const std::uint64_t ticket = cpu.enter_contention(ctx.priority);
-  // A fault-injected crash (Simulator::kill) unwinds this stack out of any
-  // of the waits below; the dead ticket must leave the contention set or the
-  // policy would starve every other contender forever.
-  struct ContentionGuard {
-    SwResource& cpu;
-    std::uint64_t ticket;
-    bool active = true;
-    ~ContentionGuard() {
-      if (active) cpu.leave_contention(ticket);
-    }
-  } guard{cpu, ticket};
-  // Let every segment released in this same instant register before anyone
-  // claims, so simultaneous arrivals contend under the policy instead of
-  // under the delta-cycle execution order (which the strict-timed semantics
-  // exists to replace).
-  sim_.raw_wait(minisc::Time::zero());
-  while (true) {
-    const minisc::Time t = sim_.now();
-    if (cpu.busy_until() > t) {
-      sim_.raw_wait(cpu.busy_until() - t);
-      continue;
-    }
-    if (!cpu.is_next(ticket)) {
-      // Free, but the policy selects another contender this instant; it
-      // will claim during this delta — re-check afterwards.
-      sim_.raw_wait(minisc::Time::zero());
-      continue;
-    }
-    break;
-  }
-  guard.active = false;
-  cpu.leave_contention(ticket);
-  const minisc::Time total = delay + rtos;
-  cpu.set_busy_until(sim_.now() + total);
-  cpu.add_busy(delay);
-  cpu.add_rtos(rtos);
-  cpu.count_dispatch();
-  if (!total.is_zero()) sim_.raw_wait(total);
+  cpu.occupy(ctx.priority, delay, rtos);
 }
 
 namespace {
@@ -301,18 +282,11 @@ void Estimator::back_annotate_sw_preemptive(ProcessCtx& ctx, SwResource& cpu,
 
   minisc::Time remaining = delay + rtos;
   cpu.add_rtos(rtos);
-  SwResource::PreemptJob& me = cpu.preempt_enter(ctx.priority);
-  // A crash unwinding out of the waits below must release the job slot, or
-  // the scheduler would consider the dead job runnable forever and never
-  // dispatch anyone else.
-  struct PreemptGuard {
-    SwResource& cpu;
-    SwResource::PreemptJob& me;
-    bool active = true;
-    ~PreemptGuard() {
-      if (active) cpu.preempt_leave(me);
-    }
-  } pguard{cpu, me};
+  // A crash unwinding out of the waits below destroys the job, which
+  // releases its slot; otherwise the scheduler would consider the dead job
+  // runnable forever and never dispatch anyone else.
+  SwResource::PreemptJob me;
+  cpu.preempt_enter(me, ctx.priority);
   std::uint64_t seen_preemptions = 0;
   while (true) {
     if (!me.running) {
@@ -336,7 +310,6 @@ void Estimator::back_annotate_sw_preemptive(ProcessCtx& ctx, SwResource& cpu,
   // Pure computation time; the RTOS share was accumulated separately above
   // (utilisation reports busy + rtos).
   cpu.add_busy(delay);
-  pguard.active = false;
   cpu.preempt_leave(me);
   cpu.count_dispatch();
 }
@@ -349,8 +322,8 @@ Report Estimator::report() const {
                              ctx->total_cycles, ctx->total_time,
                              ctx->segments_executed, ctx->ops_executed,
                              energy_of(ctx->accum, *ctx->resource)});
-    for (const std::string& id : ctx->segment_order) {
-      rep.segments.push_back({ctx->name, ctx->segments.at(id)});
+    for (const Segment& seg : ctx->segments) {
+      rep.segments.push_back({ctx->name, seg.stats});
     }
   }
   for (const auto& r : resources_) {
@@ -424,9 +397,7 @@ std::vector<SegmentStats> Estimator::segment_stats(
   std::vector<SegmentStats> out;
   for (const auto& ctx : contexts_) {
     if (ctx->name != process_name) continue;
-    for (const std::string& id : ctx->segment_order) {
-      out.push_back(ctx->segments.at(id));
-    }
+    for (const Segment& seg : ctx->segments) out.push_back(seg.stats);
   }
   return out;
 }
@@ -435,13 +406,16 @@ void Estimator::record_instantaneous(const std::string& process_name) {
   instantaneous_requested_.insert(process_name);
 }
 
-const std::vector<Estimator::SegmentExecution>& Estimator::instantaneous(
+std::vector<Estimator::SegmentExecution> Estimator::instantaneous(
     const std::string& process_name) const {
-  static const std::vector<SegmentExecution> kEmpty;
+  std::vector<SegmentExecution> out;
   for (const auto& ctx : contexts_) {
-    if (ctx->name == process_name) return ctx->executions;
+    if (ctx->name != process_name) continue;
+    for (const Execution& e : ctx->executions) {
+      out.push_back({ctx->segments[e.segment].stats.id(), e.cycles, e.at});
+    }
   }
-  return kEmpty;
+  return out;
 }
 
 const Dfg& Estimator::segment_dfg(const std::string& process_name,
@@ -449,8 +423,9 @@ const Dfg& Estimator::segment_dfg(const std::string& process_name,
   static const Dfg kEmpty;
   for (const auto& ctx : contexts_) {
     if (ctx->name != process_name) continue;
-    const auto it = ctx->segment_dfgs.find(segment_id);
-    if (it != ctx->segment_dfgs.end()) return it->second;
+    for (const Segment& seg : ctx->segments) {
+      if (seg.stats.id() == segment_id) return seg.dfg;
+    }
   }
   return kEmpty;
 }

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/annot.hpp"
@@ -41,7 +43,9 @@ class Estimator final : public minisc::KernelHook {
  public:
   /// Installs this estimator as `sim`'s kernel hook. The estimator keeps a
   /// reference to the simulator and detaches in its destructor, so it must
-  /// not outlive `sim` — declare the Simulator first, the Estimator second.
+  /// not outlive `sim`. It may die first with processes still suspended in
+  /// its segments: they stay parked, and the Simulator's teardown unwinds
+  /// them without touching the estimator.
   explicit Estimator(minisc::Simulator& sim);
   ~Estimator() override;
   Estimator(const Estimator&) = delete;
@@ -125,7 +129,7 @@ class Estimator final : public minisc::KernelHook {
   /// process first runs). Off by default: the aggregate statistics are free,
   /// the full list is opt-in.
   void record_instantaneous(const std::string& process_name);
-  const std::vector<SegmentExecution>& instantaneous(
+  std::vector<SegmentExecution> instantaneous(
       const std::string& process_name) const;
 
   // ---- KernelHook ----
@@ -139,31 +143,60 @@ class Estimator final : public minisc::KernelHook {
                  const char* label) override;
 
  private:
+  /// A process-graph node of one process, interned at first sight: the
+  /// kernel reports a node as (kind, channel name), and that pair maps one
+  /// to one onto the node's name in reports.
+  struct Node {
+    minisc::NodeKind kind;
+    std::string label;  ///< the channel name as reported
+    std::string name;   ///< "ch:r", "ch:w", "wait", "entry" or "exit"
+    /// Segments leaving this node: (to node, index into segments).
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  };
+  static constexpr std::uint32_t kEntryNode = 0;
+  static constexpr std::uint32_t kExitNode = 1;
+
+  struct Segment {
+    SegmentStats stats;
+    Dfg dfg;  ///< last recorded DFG (HW resources with record_dfg)
+  };
+
+  struct Execution {
+    std::uint32_t segment;
+    double cycles;
+    minisc::Time at;
+  };
+
   struct ProcessCtx {
     std::string name;
     Resource* resource = nullptr;
     double priority = 0.0;
     SegmentAccum accum;
-    std::string seg_from = "entry";
+    std::uint32_t seg_from = kEntryNode;
     double total_cycles = 0.0;
     minisc::Time total_time;
     std::uint64_t segments_executed = 0;
     std::uint64_t ops_executed = 0;
-    std::map<std::string, SegmentStats> segments;
-    std::vector<std::string> segment_order;
-    std::map<std::string, Dfg> segment_dfgs;
+    std::vector<Node> nodes;        ///< indexed by node id
+    std::vector<Segment> segments;  ///< in first-execution order
     bool record_instantaneous = false;
-    std::vector<SegmentExecution> executions;
+    std::vector<Execution> executions;
   };
 
-  static std::string node_label(minisc::NodeKind kind, const char* label);
+  static std::string node_name(minisc::NodeKind kind, const char* label);
   ProcessCtx* ctx_of(minisc::Process& p) const {
     return static_cast<ProcessCtx*>(p.user_data);
   }
+  static std::uint32_t intern_node(ProcessCtx& ctx, minisc::NodeKind kind,
+                                   const char* label);
+  /// Index of the segment from ctx.seg_from to `to`, created at first
+  /// execution.
+  static std::uint32_t segment_to(ProcessCtx& ctx, std::uint32_t to,
+                                  double cycles);
 
   /// Ends the current segment at node `to`: records stats and back-annotates
   /// the estimated delay according to the resource type (§4).
-  void close_segment(ProcessCtx& ctx, const std::string& to);
+  void close_segment(ProcessCtx& ctx, std::uint32_t to);
   void back_annotate_sw(ProcessCtx& ctx, SwResource& cpu, minisc::Time delay);
   void back_annotate_sw_preemptive(ProcessCtx& ctx, SwResource& cpu,
                                    minisc::Time delay);

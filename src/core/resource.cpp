@@ -89,58 +89,107 @@ const char* to_string(SchedulingPolicy p) {
 SwResource::SwResource(std::string name, double clock_mhz, CostTable table,
                        Options opts)
     : Resource(std::move(name), ResourceKind::kSw, clock_mhz, table),
-      opts_(opts) {}
-
-std::uint64_t SwResource::enter_contention(double priority) {
-  const std::uint64_t ticket = ++next_ticket_;
-  contenders_[ticket] = Contender{priority, ticket};
-  return ticket;
+      opts_(opts),
+      grant_label_("grant ") {
+  grant_label_ += this->name();
 }
 
-void SwResource::leave_contention(std::uint64_t ticket) {
-  contenders_.erase(ticket);
+SwResource::~SwResource() {
+  for (Contender* c : contenders_) c->cpu = nullptr;
+  for (PreemptJob* j : preempt_jobs_) j->cpu = nullptr;
+  if (armed_) sim_->cancel_call(armed_call_);
 }
 
-bool SwResource::is_next(std::uint64_t ticket) const {
-  const auto self = contenders_.find(ticket);
-  assert(self != contenders_.end());
-  for (const auto& [t, c] : contenders_) {
-    if (t == ticket) continue;
-    if (opts_.policy == SchedulingPolicy::kPriority) {
-      if (c.priority > self->second.priority) return false;
-      if (c.priority == self->second.priority && c.seq < self->second.seq) {
-        return false;
-      }
-    } else {
-      if (c.seq < self->second.seq) return false;  // earlier arrival wins
+void SwResource::occupy(double priority, minisc::Time delay,
+                        minisc::Time rtos) {
+  minisc::Simulator& sim = minisc::Simulator::current();
+  sim_ = &sim;
+  Contender c{&sim.current_process(), priority, delay, rtos, this};
+  contenders_.push_back(&c);
+  // Segments released later in this same instant still register before the
+  // grant: a call at now() runs only once the instant quiesces.
+  if (!armed_) arm(std::max(sim.now(), busy_until_));
+  // A crash (or teardown) unwinds the process out of park(); if it was
+  // still waiting it must leave the set, or the policy could pick a dead
+  // segment and the processor would sit idle.
+  struct Withdraw {
+    Contender& c;
+    ~Withdraw() {
+      if (c.cpu != nullptr) c.cpu->withdraw(c);
+    }
+  } withdraw_on_unwind{c};
+  sim.park(grant_label_);
+}
+
+void SwResource::arm(minisc::Time at) {
+  armed_call_ = sim_->call_at(at, *this);
+  armed_ = true;
+}
+
+void SwResource::withdraw(Contender& c) {
+  contenders_.erase(std::find(contenders_.begin(), contenders_.end(), &c));
+  c.cpu = nullptr;
+  if (contenders_.empty() && armed_) {
+    sim_->cancel_call(armed_call_);
+    armed_ = false;
+  }
+}
+
+void SwResource::on_timer() {
+  armed_ = false;
+  assert(!contenders_.empty());  // withdraw() cancels the call on empty
+  const minisc::Time now = sim_->now();
+  if (busy_until_ > now) {  // an SW outage pinned the processor meanwhile
+    arm(busy_until_);
+    return;
+  }
+  // The policy's pick among the segments registered by now: the earliest
+  // arrival under kFifo; under kPriority the highest priority, earliest
+  // arrival among equals. A segment whose process was killed at this
+  // instant is skipped: it withdraws when it unwinds.
+  auto best = contenders_.end();
+  for (auto it = contenders_.begin(); it != contenders_.end(); ++it) {
+    if (!(*it)->proc->parked()) continue;
+    if (best == contenders_.end()) {
+      best = it;
+      if (opts_.policy == SchedulingPolicy::kFifo) break;
+    } else if ((*it)->priority > (*best)->priority) {
+      best = it;
     }
   }
-  return true;
+  if (best == contenders_.end()) return;
+  Contender& c = **best;
+  contenders_.erase(best);
+  c.cpu = nullptr;
+  const minisc::Time total = c.delay + c.rtos;
+  busy_until_ = now + total;
+  add_busy(c.delay);
+  add_rtos(c.rtos);
+  count_dispatch();
+  sim_->wake_at(*c.proc, busy_until_);
+  if (!contenders_.empty()) arm(busy_until_);
 }
 
-SwResource::PreemptJob& SwResource::preempt_enter(double priority) {
-  preempt_jobs_.emplace_back();
-  PreemptJob& j = preempt_jobs_.back();
-  j.priority = priority;
-  j.seq = ++next_ticket_;
+void SwResource::preempt_enter(PreemptJob& job, double priority) {
+  job.priority = priority;
+  job.seq = ++next_ticket_;
+  job.cpu = this;
+  preempt_jobs_.push_back(&job);
   preempt_reschedule();
-  return j;
 }
 
 void SwResource::preempt_leave(PreemptJob& job) {
   if (preempt_current_ == &job) preempt_current_ = nullptr;
-  for (auto it = preempt_jobs_.begin(); it != preempt_jobs_.end(); ++it) {
-    if (&*it == &job) {
-      preempt_jobs_.erase(it);
-      break;
-    }
-  }
+  preempt_jobs_.erase(
+      std::find(preempt_jobs_.begin(), preempt_jobs_.end(), &job));
+  job.cpu = nullptr;
   preempt_reschedule();
 }
 
 void SwResource::preempt_reschedule() {
   PreemptJob* best = nullptr;
-  for (PreemptJob& j : preempt_jobs_) {
+  for (PreemptJob* jp : preempt_jobs_) {
+    PreemptJob& j = *jp;
     if (best == nullptr) {
       best = &j;
       continue;

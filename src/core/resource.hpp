@@ -1,13 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include <list>
 
 #include "core/cost_table.hpp"
 #include "kernel/simulator.hpp"
@@ -63,7 +60,7 @@ class Resource {
 
   /// Registers [start, end) as resource downtime: no segment progress while
   /// a window is open. Windows may be added in any order; overlapping
-  /// windows merge. SW resources use the busy_until claim mechanism instead
+  /// windows merge. SW resources use the busy_until grant mechanism instead
   /// — the estimator consults downtime only for HW back-annotation, and the
   /// fault injector for ENV node stalls.
   void add_downtime(minisc::Time start, minisc::Time end);
@@ -131,7 +128,13 @@ const char* to_string(SchedulingPolicy p);
 /// Sequential resource (a processor): segments of all mapped processes
 /// serialise on it, and every channel access / wait executed by a mapped
 /// process additionally pays the RTOS context-switch overhead (§4).
-class SwResource final : public Resource {
+///
+/// Non-preemptive arbitration is the resource's own: a closing segment
+/// registers and parks once, and a kernel timer callback grants the
+/// processor when it frees, under the policy, to one of the segments
+/// registered by then (the role of the RTOS scheduler object of RTK-Spec
+/// TRON). The granted process wakes once, when its occupation ends.
+class SwResource final : public Resource, private minisc::TimerCallback {
  public:
   struct Options {
     /// Cycles the RTOS consumes at each node (channel access or timed wait)
@@ -149,6 +152,10 @@ class SwResource final : public Resource {
       : SwResource(std::move(name), clock_mhz, table, Options{}) {}
   SwResource(std::string name, double clock_mhz, CostTable table,
              Options opts);
+  /// Detaches every segment still waiting here (its process stays parked;
+  /// unwinding it later no longer touches this object) and cancels the
+  /// pending grant, so the resource may die before its Simulator.
+  ~SwResource() override;
 
   double rtos_cycles_per_switch() const { return opts_.rtos_cycles_per_switch; }
   void set_rtos_cycles_per_switch(double c) {
@@ -156,21 +163,17 @@ class SwResource final : public Resource {
   }
   SchedulingPolicy policy() const { return opts_.policy; }
 
-  // ---- arbitration waiting set (managed by the estimator) ----
+  // ---- non-preemptive arbitration ----
 
-  /// A process contending for the processor: higher `priority` wins under
-  /// kPriority; `seq` breaks ties and implements kFifo order.
-  struct Contender {
-    double priority = 0.0;
-    std::uint64_t seq = 0;
-  };
-
-  /// Registers a contender; returns its ticket.
-  std::uint64_t enter_contention(double priority);
-  void leave_contention(std::uint64_t ticket);
-  /// True if the given ticket should claim the processor next under the
-  /// configured policy.
-  bool is_next(std::uint64_t ticket) const;
+  /// Occupies the processor for one segment of the running process:
+  /// `delay` of computation plus `rtos` of context-switch time. The process
+  /// parks until the grant's occupation ends (grant + delay + rtos); the
+  /// grant books busy, RTOS and dispatch statistics. A crash or teardown
+  /// that unwinds the process while it still waits withdraws it; a granted
+  /// occupation stands.
+  void occupy(double priority, minisc::Time delay, minisc::Time rtos);
+  /// Segments registered and not yet granted.
+  std::size_t waiting() const { return contenders_.size(); }
 
   // ---- preemptive-mode scheduler (Options::preemptive) ----
 
@@ -178,25 +181,38 @@ class SwResource final : public Resource {
     return opts_.preemptive && opts_.policy == SchedulingPolicy::kPriority;
   }
 
-  /// One segment execution contending for the preemptive processor. `wake`
-  /// is notified both when the job is dispatched and when it is preempted;
-  /// the job distinguishes the two via `running`.
+  /// One segment execution contending for the preemptive processor, owned
+  /// by the process executing it. `wake` is notified both when the job is
+  /// dispatched and when it is preempted; the job distinguishes the two via
+  /// `running`. Destroying a job that is still entered (a crash unwinding
+  /// its process) leaves the processor.
   struct PreemptJob {
+    PreemptJob() = default;
+    PreemptJob(const PreemptJob&) = delete;
+    PreemptJob& operator=(const PreemptJob&) = delete;
+    ~PreemptJob() {
+      if (cpu != nullptr) cpu->preempt_leave(*this);
+    }
+
     double priority = 0.0;
     std::uint64_t seq = 0;
     bool running = false;
     std::uint64_t preemptions = 0;  ///< times this job was preempted
     minisc::Event wake{"cpu.preempt"};
+    /// The processor the job is entered on; null once it left (or once the
+    /// processor was destroyed).
+    SwResource* cpu = nullptr;
   };
 
-  /// Adds a job and reschedules (possibly preempting the running one).
-  PreemptJob& preempt_enter(double priority);
-  /// Removes a completed job and dispatches the next one.
+  /// Enters a job and reschedules (possibly preempting the running one).
+  void preempt_enter(PreemptJob& job, double priority);
+  /// Removes a job and dispatches the next one.
   void preempt_leave(PreemptJob& job);
   /// Total scheduler dispatches (context switches) in preemptive mode.
   std::uint64_t preempt_switches() const { return preempt_switches_; }
 
-  /// Time until which the processor is already committed.
+  /// Time until which the processor is already committed. Raising it (an
+  /// SW outage) defers the next grant to the new value.
   minisc::Time busy_until() const { return busy_until_; }
   void set_busy_until(minisc::Time t) { busy_until_ = t; }
 
@@ -210,15 +226,34 @@ class SwResource final : public Resource {
   void count_dispatch() { ++dispatch_count_; }
 
  private:
+  /// A segment waiting for the grant; lives on its process's stack.
+  struct Contender {
+    minisc::Process* proc;
+    double priority;
+    minisc::Time delay;
+    minisc::Time rtos;
+    SwResource* cpu;  ///< null once granted, withdrawn or detached
+  };
+
+  /// The grant: runs when the processor frees (see occupy()).
+  void on_timer() override;
+  void arm(minisc::Time at);
+  void withdraw(Contender& c);
+
   Options opts_;
   minisc::Time busy_until_;
   minisc::Time rtos_time_;
   std::uint64_t dispatch_count_ = 0;
   std::uint64_t next_ticket_ = 0;
-  std::map<std::uint64_t, Contender> contenders_;  ///< keyed by ticket
+  std::string grant_label_;  ///< what a waiting process is parked on
+  /// In arrival order: kFifo's order and kPriority's tie-break.
+  std::vector<Contender*> contenders_;
+  minisc::Simulator* sim_ = nullptr;    ///< set by the first occupy()
+  bool armed_ = false;
+  std::uint64_t armed_call_ = 0;
 
   void preempt_reschedule();
-  std::list<PreemptJob> preempt_jobs_;  ///< std::list: stable addresses
+  std::vector<PreemptJob*> preempt_jobs_;
   PreemptJob* preempt_current_ = nullptr;
   std::uint64_t preempt_switches_ = 0;
 };

@@ -24,7 +24,7 @@ void FaultInjector::spawn_drivers() {
   // HW and ENV outage windows are fully determined at t = 0: register them
   // as resource downtime up front (the estimator stretches HW segments over
   // the windows; node_reached stalls ENV processes inside one). Only SW
-  // outages need a driver, because their effect rides the busy_until claim
+  // outages need a driver, because their effect rides the busy_until grant
   // protocol. Either way the lockup cycles are charged as fault energy.
   bool any_sw = false;
   for (const Outage& o : scenario_.outages()) {
@@ -46,10 +46,10 @@ void FaultInjector::spawn_drivers() {
         auto* sw = dynamic_cast<scperf::SwResource*>(
             est_.find_resource(o.resource));
         if (sw == nullptr) continue;  // HW/ENV: already registered above
-        // Claims require busy_until <= now, so pinning it to the window end
+        // Grants require busy_until <= now, so pinning it to the window end
         // stalls every occupation issued inside the window. An occupation
-        // already running keeps its own (earlier) raw_wait and finishes, but
-        // its successor on the same processor waits out the outage too.
+        // already granted keeps its (earlier) wake and finishes, but its
+        // successor on the same processor waits out the outage too.
         const minisc::Time end = o.start + o.length;
         if (sw->busy_until() < end) sw->set_busy_until(end);
         sw->add_fault_cycles(o.length.to_ns_d() / sw->period_ns());

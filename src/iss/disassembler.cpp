@@ -13,7 +13,11 @@ bool has_target(Opcode op) {
          op == Opcode::kJal;
 }
 
-std::string reg(unsigned r) { return "r" + std::to_string(r); }
+std::string reg(unsigned r) {
+  std::string name = "r";
+  name += std::to_string(r);
+  return name;
+}
 
 }  // namespace
 

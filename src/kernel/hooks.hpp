@@ -20,8 +20,9 @@ const char* to_string(NodeKind k);
 /// reports, for the *running* process:
 ///
 ///  - node_reached: a channel access / timed wait is about to execute. The
-///    hook may perform raw kernel waits (Simulator::raw_wait) here — this is
-///    how segment delays are back-annotated *before* the communication.
+///    hook may suspend the process without hooks (Simulator::raw_wait,
+///    Simulator::park) — this is how segment delays are back-annotated
+///    *before* the communication.
 ///  - node_done: the access completed (for a blocking read, after the data
 ///    arrived). The hook typically starts the next segment here.
 ///  - process_started / process_finished: segment bookkeeping at the entry

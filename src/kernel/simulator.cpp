@@ -1,5 +1,6 @@
 #include "kernel/simulator.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -202,7 +203,7 @@ void Event::notify(Time t) {
   Simulator::TimerEntry e;
   e.t = at;
   e.event = this;
-  e.event_generation = generation_;
+  e.stamp = generation_;
   sim.schedule_timer(e);
 }
 
@@ -366,7 +367,7 @@ Process& Simulator::spawn(std::string name, std::function<void()> body,
 void Simulator::make_runnable(Process& p) {
   assert(p.state_ != Process::State::kTerminated);
   p.state_ = Process::State::kReady;
-  runnable_.push_back(&p);
+  runnable_.push_back({&p});
 }
 
 void Simulator::dispatch(Process& p) {
@@ -376,6 +377,7 @@ void Simulator::dispatch(Process& p) {
   ++p.wait_id_;  // invalidate stale timer/event wakeups
   p.waiting_event_ = nullptr;
   p.wake_at_ = Time::max();
+  p.parked_ = false;
   running_ = &p;
   if (exec_trace_enabled_) {
     exec_trace_.push_back({now_, delta_count_, p.name()});
@@ -417,24 +419,39 @@ void Simulator::schedule_timer(TimerEntry e) {
   timers_.push(e);
 }
 
-bool Simulator::fire_timer_entry(const TimerEntry& e) {
+bool Simulator::take_cancelled(std::uint64_t id) {
+  const auto it =
+      std::find(cancelled_calls_.begin(), cancelled_calls_.end(), id);
+  if (it == cancelled_calls_.end()) return false;
+  cancelled_calls_.erase(it);
+  return true;
+}
+
+bool Simulator::stale(const TimerEntry& e) {
+  if (e.event != nullptr) {
+    return e.event->generation_ != e.stamp ||
+           e.event->pending_ != Event::Pending::kTimed;
+  }
+  if (e.proc != nullptr) {
+    return e.proc->state_ != Process::State::kWaiting ||
+           e.proc->wait_id_ != e.stamp;
+  }
+  return !cancelled_calls_.empty() && take_cancelled(e.seq);
+}
+
+void Simulator::fire_timer_entry(const TimerEntry& e) {
   if (e.event != nullptr) {
     Event& ev = *e.event;
-    if (ev.generation_ != e.event_generation ||
-        ev.pending_ != Event::Pending::kTimed) {
-      return false;  // cancelled or superseded
-    }
     ev.pending_ = Event::Pending::kNone;
     ++ev.generation_;
     ev.fire();
-    return true;
+  } else if (e.proc != nullptr) {
+    make_runnable(*e.proc);
+  } else {
+    // Queued like a woken process, so the call runs where a process woken
+    // by the same entry would have run.
+    runnable_.push_back({nullptr, e.callback, e.seq});
   }
-  Process& p = *e.proc;
-  if (p.state_ == Process::State::kWaiting && p.wait_id_ == e.proc_wait_id) {
-    make_runnable(p);
-    return true;
-  }
-  return false;
 }
 
 StopReason Simulator::run(Time limit) {
@@ -444,8 +461,14 @@ StopReason Simulator::run(Time limit) {
   while (true) {
     // ---- evaluate phase ----
     while (!runnable_.empty()) {
-      Process* p = runnable_.front();
+      const Runnable r = runnable_.front();
       runnable_.pop_front();
+      if (r.callback != nullptr) {
+        // Cancelled after its entry fired but before it ran: skip it.
+        if (!cancelled_calls_.empty() && take_cancelled(r.call_id)) continue;
+        r.callback->on_timer();
+        continue;
+      }
       ++dispatches_this_instant_;
       if (watchdog_.max_dispatches_per_instant != 0 &&
           dispatches_this_instant_ > watchdog_.max_dispatches_per_instant) {
@@ -457,7 +480,7 @@ StopReason Simulator::run(Time limit) {
                 "): immediate-notification livelock");
       }
       check_wall_clock();
-      dispatch(*p);
+      dispatch(*r.proc);
     }
     // ---- update phase ----
     {
@@ -500,15 +523,7 @@ StopReason Simulator::run(Time limit) {
       if (e.t > limit) break;
       timers_.pop();
       // Peek-fire everything at the earliest valid time point.
-      if (e.event != nullptr &&
-          (e.event->generation_ != e.event_generation ||
-           e.event->pending_ != Event::Pending::kTimed)) {
-        continue;  // stale entry; keep scanning
-      }
-      if (e.proc != nullptr && (e.proc->state_ != Process::State::kWaiting ||
-                                e.proc->wait_id_ != e.proc_wait_id)) {
-        continue;  // stale entry
-      }
+      if (stale(e)) continue;  // keep scanning
       if (e.t > now_) {
         deltas_this_instant_ = 0;
         dispatches_this_instant_ = 0;
@@ -525,7 +540,7 @@ StopReason Simulator::run(Time limit) {
       while (!timers_.empty() && timers_.top().t == now_) {
         const TimerEntry e2 = timers_.top();
         timers_.pop();
-        fire_timer_entry(e2);
+        if (!stale(e2)) fire_timer_entry(e2);
       }
       break;
     }
@@ -586,7 +601,12 @@ std::vector<ProcessDiagnostic> Simulator::process_diagnostics() const {
         break;
     }
     if (p->state_ == Process::State::kWaiting) {
-      if (p->waiting_event_ != nullptr) {
+      if (p->parked_) {
+        d.blocked_on = p->parked_on_;
+        if (p->wake_at_ != Time::max()) {
+          d.blocked_on += " (wake @ " + p->wake_at_.str() + ")";
+        }
+      } else if (p->waiting_event_ != nullptr) {
         d.blocked_on = "event " + p->waiting_event_->name();
         if (p->wake_at_ != Time::max()) {
           d.blocked_on += " (timeout @ " + p->wake_at_.str() + ")";
@@ -630,7 +650,7 @@ bool Simulator::wait_for_restart(Process& p, Time delay) {
   TimerEntry e;
   e.t = now_ + delay;
   e.proc = &p;
-  e.proc_wait_id = p.wait_id_;
+  e.stamp = p.wait_id_;
   schedule_timer(e);
   p.state_ = Process::State::kWaiting;
   p.wake_at_ = e.t;
@@ -723,7 +743,7 @@ void Simulator::raw_wait(Time t) {
   TimerEntry e;
   e.t = now_ + t;
   e.proc = &p;
-  e.proc_wait_id = p.wait_id_;
+  e.stamp = p.wait_id_;
   schedule_timer(e);
   p.state_ = Process::State::kWaiting;
   p.wake_at_ = e.t;
@@ -751,7 +771,7 @@ bool Simulator::wait_on(Event& e, Time timeout) {
   TimerEntry te;
   te.t = now_ + timeout;
   te.proc = &p;
-  te.proc_wait_id = p.wait_id_;
+  te.stamp = p.wait_id_;
   const Time deadline = te.t;
   schedule_timer(te);
   p.state_ = Process::State::kWaiting;
@@ -760,6 +780,37 @@ bool Simulator::wait_on(Event& e, Time timeout) {
   yield_to_kernel();
   // If we woke before the deadline, it was the event.
   return now_ < deadline;
+}
+
+void Simulator::park(std::string_view what) {
+  Process& p = current_process();
+  p.state_ = Process::State::kWaiting;
+  p.parked_ = true;
+  p.parked_on_.assign(what);
+  yield_to_kernel();
+}
+
+void Simulator::wake_at(Process& p, Time at) {
+  assert(p.state_ == Process::State::kWaiting && at >= now_);
+  TimerEntry e;
+  e.t = at;
+  e.proc = &p;
+  e.stamp = p.wait_id_;
+  schedule_timer(e);
+  p.wake_at_ = at;
+}
+
+std::uint64_t Simulator::call_at(Time at, TimerCallback& cb) {
+  assert(at >= now_);
+  TimerEntry e;
+  e.t = at;
+  e.callback = &cb;
+  schedule_timer(e);
+  return timer_seq_;
+}
+
+void Simulator::cancel_call(std::uint64_t id) {
+  cancelled_calls_.push_back(id);
 }
 
 Process& Simulator::current_process() {

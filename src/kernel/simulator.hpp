@@ -13,6 +13,7 @@
 #include <optional>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kernel/error.hpp"
@@ -88,6 +89,20 @@ struct SwitchContext {
 
 }  // namespace detail
 
+/// Code the kernel runs at a simulated instant instead of waking a process
+/// (the role of an SC_METHOD sensitive to a timeout). Scheduled with
+/// Simulator::call_at(); on_timer() runs on the kernel stack, in the
+/// evaluation phase, at the position a process woken by the same timer
+/// entry would take. It may change model state, schedule timers and wake
+/// parked processes, but it must not wait.
+class TimerCallback {
+ public:
+  virtual void on_timer() = 0;
+
+ protected:
+  ~TimerCallback() = default;
+};
+
 /// Base for primitive channels that defer state publication to the update
 /// phase (the role of sc_prim_channel::request_update / update).
 class Updatable {
@@ -116,6 +131,10 @@ class Process {
 
   /// Times this process crash-restarted (Simulator::kill_and_restart).
   std::uint64_t restart_count() const { return restart_count_; }
+
+  /// True while suspended in Simulator::park(), with or without a pending
+  /// wake_at(); false once a kill has made it runnable to unwind.
+  bool parked() const { return state_ == State::kWaiting && parked_; }
 
   /// Scratch slot for layered libraries (the estimation library stores its
   /// per-process context here to avoid map lookups on the hot path).
@@ -153,6 +172,9 @@ class Process {
   /// same lifetime rule the waiter list already imposes.
   const Event* waiting_event_ = nullptr;
   Time wake_at_ = Time::max();  ///< pending timer deadline (max = none)
+  /// Diagnostics only: set by Simulator::park(), which names the wait.
+  bool parked_ = false;
+  std::string parked_on_;
   std::exception_ptr error_;
 };
 
@@ -296,6 +318,23 @@ class Simulator {
   void wait_on(Event& e);
   /// Blocks until `e` or the timeout; true if the event fired first.
   bool wait_on(Event& e, Time timeout);
+  /// Suspends the running process with no timer: only wake_at() (or a kill,
+  /// or teardown) resumes it. `what` names the wait in process_diagnostics().
+  void park(std::string_view what);
+
+  // ---- kernel-side scheduling (no process context needed) ----
+
+  /// Resumes parked process `p` at absolute time `at` (>= now()). Like every
+  /// timed wake it is dropped if `p` resumes for another reason first (a
+  /// crash or teardown), so a wake made stale by a crash never lands.
+  void wake_at(Process& p, Time at);
+  /// Runs `cb.on_timer()` at absolute time `at` (>= now()); an entry at
+  /// now() fires once the current instant quiesces, as a zero-time wait
+  /// does. Returns the entry's id for cancel_call().
+  std::uint64_t call_at(Time at, TimerCallback& cb);
+  /// Withdraws a call_at() entry that has not run yet; it never fires and
+  /// never advances time. Cancelling an entry that already ran is an error.
+  void cancel_call(std::uint64_t id);
 
   /// The process whose body is executing. Asserts if called from outside.
   Process& current_process();
@@ -328,15 +367,25 @@ class Simulator {
   struct TimerEntry {
     Time t;
     std::uint64_t seq;  ///< tie-break: FIFO among equal times
-    // Exactly one of the two targets is set.
+    // Exactly one of the three targets is set.
     Event* event = nullptr;
-    std::uint64_t event_generation = 0;
     Process* proc = nullptr;
-    std::uint64_t proc_wait_id = 0;
+    TimerCallback* callback = nullptr;  ///< its id is `seq`
+    /// The event's generation or the process's wait id when scheduled; a
+    /// mismatch at fire time marks the entry stale.
+    std::uint64_t stamp = 0;
 
     bool operator>(const TimerEntry& o) const {
       return t != o.t ? t > o.t : seq > o.seq;
     }
+  };
+
+  /// One evaluate-phase work item: a process to dispatch, or a due
+  /// call_at() entry to run.
+  struct Runnable {
+    Process* proc = nullptr;
+    TimerCallback* callback = nullptr;
+    std::uint64_t call_id = 0;
   };
 
   void make_runnable(Process& p);
@@ -350,7 +399,13 @@ class Simulator {
   void yield_to_kernel();
   void schedule_timer(TimerEntry e);
   void kill_all_processes();
-  bool fire_timer_entry(const TimerEntry& e);  ///< true if it woke something
+  /// True if `e` must not fire: a cancelled or superseded notification,
+  /// a wake the process no longer waits for, or a cancelled call. Called
+  /// once per popped entry: it consumes a cancelled call's record.
+  bool stale(const TimerEntry& e);
+  void fire_timer_entry(const TimerEntry& e);
+  /// Consumes a cancel_call() record for `id`; true if there was one.
+  bool take_cancelled(std::uint64_t id);
   void kill_impl(Process& p, std::optional<Time> restart_after);
   /// Parks a crashed process until its restart time; false on teardown.
   bool wait_for_restart(Process& p, Time delay);
@@ -361,7 +416,7 @@ class Simulator {
 
   detail::SwitchContext main_ctx_;
   std::vector<std::unique_ptr<Process>> processes_;
-  std::deque<Process*> runnable_;
+  std::deque<Runnable> runnable_;
   std::vector<Event*> delta_events_;
   std::vector<Updatable*> update_queue_;
   std::priority_queue<TimerEntry, std::vector<TimerEntry>,
@@ -371,6 +426,8 @@ class Simulator {
   Time now_;
   std::uint64_t delta_count_ = 0;
   std::uint64_t timer_seq_ = 0;
+  /// Ids of cancelled call_at() entries not yet popped (usually empty).
+  std::vector<std::uint64_t> cancelled_calls_;
   bool stop_requested_ = false;
   KernelHook* hook_ = nullptr;
   bool exec_trace_enabled_ = false;

@@ -5,6 +5,7 @@
 #include <cfenv>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace minisc {
@@ -356,7 +357,9 @@ TEST(Simulator, ManyProcessesManyWaits) {
   constexpr int kLaps = 100;
   int total = 0;
   for (int i = 0; i < kProcs; ++i) {
-    sim.spawn("p" + std::to_string(i), [&, i] {
+    std::string name = "p";
+    name += std::to_string(i);
+    sim.spawn(name, [&, i] {
       for (int lap = 0; lap < kLaps; ++lap) {
         wait(Time::ns(static_cast<std::uint64_t>(1 + i)));
         ++total;
@@ -487,6 +490,140 @@ bool double_rounds_up() {
 bool long_double_rounds_up() {
   volatile long double one = 1.0L, tiny = 0x1p-120L;
   return one + tiny != one;
+}
+
+// ---- kernel timer callbacks and parked processes ----
+
+/// Appends `tag` to a log each time the kernel runs it.
+struct LogCall final : TimerCallback {
+  LogCall(std::vector<std::string>& log, std::string tag)
+      : log(log), tag(std::move(tag)) {}
+  void on_timer() override { log.push_back(tag); }
+  std::vector<std::string>& log;
+  std::string tag;
+};
+
+TEST(Simulator, ZeroDelayCallRunsOnceTheInstantQuiesces) {
+  Simulator sim;
+  std::vector<std::string> log;
+  LogCall call(log, "call");
+  Event ev("ev");
+  std::uint64_t armed_at_delta = 0;
+  sim.spawn("a", [&] {
+    wait(Time::ns(10));
+    log.push_back("a");
+    wait(Time::zero());  // issued before the call is armed
+    log.push_back("a woke");
+  });
+  sim.spawn("b", [&] {
+    wait(Time::ns(10));
+    sim.call_at(now(), call);
+    armed_at_delta = sim.delta_count();
+    for (int i = 0; i < 3; ++i) {  // three more delta cycles at 10 ns
+      ev.notify_delta();
+      wait(ev);
+      log.push_back("delta");
+    }
+  });
+  sim.run();
+  const std::vector<std::string> want{"a",     "delta",  "delta",
+                                      "delta", "a woke", "call"};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(sim.now(), Time::ns(10));
+  EXPECT_GT(sim.delta_count(), armed_at_delta + 3);
+}
+
+TEST(Simulator, CancelledCallNeverFiresNorAdvancesTime) {
+  Simulator sim;
+  std::vector<std::string> log;
+  LogCall late(log, "late"), second(log, "second");
+  // Cancels `victim` from inside a call due at the same instant: both
+  // entries have fired, so the cancel must catch the queued one.
+  struct CancelOther final : TimerCallback {
+    void on_timer() override { sim->cancel_call(victim); }
+    Simulator* sim = nullptr;
+    std::uint64_t victim = 0;
+  } first;
+  first.sim = &sim;
+  sim.spawn("p", [&] {
+    const std::uint64_t id = sim.call_at(now() + Time::ns(50), late);
+    wait(Time::ns(10));
+    sim.cancel_call(id);
+    sim.call_at(now(), first);
+    first.victim = sim.call_at(now(), second);
+  });
+  EXPECT_EQ(sim.run(), StopReason::kFinished);
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.now(), Time::ns(10));  // the cancelled 50 ns entry is skipped
+}
+
+TEST(Simulator, KilledParkedProcessUnwindsAndItsWakeIsIgnored) {
+  Simulator sim;
+  int unwound = 0;
+  int woke = 0;
+  struct Unwind {
+    int& n;
+    ~Unwind() { ++n; }
+  };
+  Process& parked = sim.spawn("parked", [&] {
+    Unwind u{unwound};
+    sim.park("gate");
+    ++woke;
+  });
+  sim.spawn("control", [&] {
+    wait(Time::ns(5));
+    sim.wake_at(parked, Time::ns(20));
+    wait(Time::ns(5));
+    sim.kill_and_restart(parked, Time::ns(2));  // at 10 ns, back at 12 ns
+  });
+  // The 20 ns wake was meant for the first incarnation; the restarted body
+  // parks again and must stay parked.
+  EXPECT_EQ(sim.run(), StopReason::kDeadlock);
+  EXPECT_EQ(unwound, 1);
+  EXPECT_EQ(woke, 0);
+  EXPECT_EQ(parked.restart_count(), 1u);
+  EXPECT_EQ(sim.now(), Time::ns(12));
+}
+
+TEST(Simulator, WakeAtResumesAParkedProcessOnce) {
+  Simulator sim;
+  Time woke_at = Time::max();
+  Process& parked = sim.spawn("parked", [&] {
+    sim.park("gate");
+    woke_at = now();
+  });
+  sim.spawn("control", [&] {
+    wait(Time::ns(5));
+    sim.wake_at(parked, Time::ns(30));
+  });
+  EXPECT_EQ(sim.run(), StopReason::kFinished);
+  EXPECT_EQ(woke_at, Time::ns(30));
+}
+
+TEST(Simulator, DiagnosticsNameWhatAParkedProcessWaitsFor) {
+  Simulator sim;
+  Process& parked = sim.spawn("parked", [&] { sim.park("grant cpu0"); });
+  sim.spawn("control", [&] {
+    wait(Time::ns(5));
+    sim.wake_at(parked, Time::ns(50));
+  });
+  const auto blocked_on = [&sim] {
+    for (const ProcessDiagnostic& d : sim.process_diagnostics()) {
+      if (d.name != "parked") continue;
+      std::string s = d.state;
+      s += ": ";
+      s += d.blocked_on;
+      return s;
+    }
+    return std::string("not live");
+  };
+  EXPECT_EQ(sim.run(Time::ns(2)), StopReason::kTimeLimit);
+  EXPECT_EQ(blocked_on(), "waiting: grant cpu0");
+  EXPECT_EQ(sim.run(Time::ns(10)), StopReason::kTimeLimit);
+  std::string want = "waiting: grant cpu0 (wake @ ";
+  want += Time::ns(50).str();
+  want += ')';
+  EXPECT_EQ(blocked_on(), want);
 }
 
 TEST(Simulator, FloatingPointControlStateIsPerProcess) {

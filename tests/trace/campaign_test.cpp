@@ -150,8 +150,8 @@ TEST(Campaign, CsvSchemaRoundTrips) {
   // Spot-check the weight column: exp(-0.5) next to its log.
   EXPECT_NE(os.str().find(",-0.5,"), std::string::npos);
   std::ostringstream w;
-  w << std::exp(-0.5);
-  EXPECT_NE(os.str().find("," + w.str() + ","), std::string::npos);
+  w << ',' << std::exp(-0.5) << ',';
+  EXPECT_NE(os.str().find(w.str()), std::string::npos);
 }
 
 TEST(Campaign, WeightedReportRecoversNominalEstimate) {

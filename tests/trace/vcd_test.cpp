@@ -79,8 +79,9 @@ TEST(Vcd, IdCodesStayPrintableForManyPoints) {
   scperf::CaptureRegistry reg;
   std::vector<std::unique_ptr<scperf::CapturePoint>> points;
   for (int i = 0; i < 120; ++i) {
-    points.push_back(std::make_unique<scperf::CapturePoint>(
-        "p" + std::to_string(i), reg));
+    std::string name = "p";
+    name += std::to_string(i);
+    points.push_back(std::make_unique<scperf::CapturePoint>(name, reg));
   }
   std::ostringstream os;
   write_vcd(os, reg);
